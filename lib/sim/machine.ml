@@ -4,9 +4,14 @@ module Loc = Slo_ir.Loc
 module Layout = Slo_layout.Layout
 module Field = Slo_layout.Field
 module Prng = Slo_util.Prng
-module Heap = Slo_util.Heap
+module Flat_tab = Slo_util.Flat_tab
 
 exception Runtime_error = Slo_profile.Interp.Runtime_error
+
+(* Raised by expression evaluation on a zero divisor; the run loop turns it
+   into a located [Runtime_error] (see [division_error]), so the hot path
+   never carries a location. *)
+exception Div_zero
 
 type config = {
   topology : Topology.t;
@@ -106,9 +111,9 @@ type cinstr =
   | CRand of { dst : int; bound : cexpr; loc : Loc.t }
   | CPause of { cycles : cexpr; loc : Loc.t }
   | CCall of {
-      callee : string;
-      int_args : (int * cexpr) list;  (* callee slot, value *)
-      inst_args : (int * int) list;  (* callee inst slot, caller inst slot *)
+      callee : int;  (* procedure index, see [proc_names] *)
+      int_args : (int * cexpr) array;  (* callee slot, value *)
+      inst_args : (int * int) array;  (* callee inst slot, caller inst slot *)
       loc : Loc.t;
     }
 
@@ -121,8 +126,8 @@ type cblock = {
   cb_instrs : cinstr array;
   cb_term : cterm;
   cb_src : Cfg.block_id;
-  cb_lines : int array;  (* source line of each instruction, for sampling *)
-  cb_term_line : int;
+  cb_locs : Loc.t array;  (* of each instruction, for samples and errors *)
+  cb_term_loc : Loc.t;
 }
 
 type cproc = {
@@ -131,6 +136,8 @@ type cproc = {
   cp_nregs : int;
   cp_ninsts : int;
   cp_params : Ast.param list;
+  mutable cp_code : (int * int) array;
+      (* per-block (address, size) under the code layout; bound by [run] *)
 }
 
 (* --------------------------------------------------------------------- *)
@@ -139,7 +146,6 @@ type frame = {
   f_proc : cproc;
   f_regs : int array;
   f_insts : instance array;
-  f_code : (int * int) array;  (* per-block (address, size) of the proc's code *)
   mutable f_block : int;
   mutable f_ip : int;
 }
@@ -149,7 +155,7 @@ type thread = {
   t_total_items : int;
   mutable t_clock : int;
   mutable t_frames : frame list;
-  mutable t_work : (string * arg list) list;
+  mutable t_work : (int * arg list) list;  (* procedure index, arguments *)
   t_prng : Prng.t;
   mutable t_done : bool;
 }
@@ -175,6 +181,9 @@ type t = {
   next_sample : int array;
   code : (string, (int * int) array) Hashtbl.t;
       (* proc -> per-block (address, size) under the current code layout *)
+  proc_names : string array;  (* procedure index -> name, program order *)
+  proc_index : (string, int) Hashtbl.t;
+  mutable procs : cproc array;  (* procedure index -> body; bound by [run] *)
 }
 
 (* Global variables live in their own line-aligned segment far above the
@@ -195,6 +204,8 @@ let create config program =
   let cfgs = Cfg.of_program program in
   let cfg_of = Hashtbl.create 16 in
   List.iter (fun (n, c) -> Hashtbl.replace cfg_of n c) cfgs;
+  let proc_index = Hashtbl.create 16 in
+  List.iteri (fun i (n, _) -> Hashtbl.replace proc_index n i) cfgs;
   (* Default code layout: procedures in program order, blocks in
      declaration (CFG index) order, packed contiguously — the "as compiled"
      baseline the code-layout optimizer reorders. *)
@@ -245,6 +256,9 @@ let create config program =
     all_instances = [];
     next_sample = Array.make n (match config.sample_period with Some p -> p | None -> max_int);
     code;
+    proc_names = Array.of_list (List.map fst cfgs);
+    proc_index;
+    procs = [||];
   }
 
 let coherence t = t.coherence
@@ -478,9 +492,9 @@ let compile_proc t (cfg : Cfg.t) : cproc =
         callee_cfg.Cfg.params args;
       CCall
         {
-          callee;
-          int_args = List.rev !int_args;
-          inst_args = List.rev !inst_args;
+          callee = Hashtbl.find t.proc_index callee;
+          int_args = Array.of_list (List.rev !int_args);
+          inst_args = Array.of_list (List.rev !inst_args);
           loc;
         }
   in
@@ -495,17 +509,15 @@ let compile_proc t (cfg : Cfg.t) : cproc =
     Array.map
       (fun (blk : Cfg.block) ->
         let instrs = Array.map compile_instr blk.Cfg.b_instrs in
-        let lines =
-          Array.map (fun i -> Loc.line (Cfg.instr_loc i)) blk.Cfg.b_instrs
-        in
-        let term_line =
+        let locs = Array.map Cfg.instr_loc blk.Cfg.b_instrs in
+        let term_loc =
           match blk.Cfg.b_term with
-          | Cfg.Tbranch { loc; _ } -> Loc.line loc
+          | Cfg.Tbranch { loc; _ } -> loc
           | Cfg.Tgoto _ | Cfg.Treturn ->
-            if Array.length lines > 0 then lines.(Array.length lines - 1) else 0
+            if Array.length locs > 0 then locs.(Array.length locs - 1) else Loc.dummy
         in
         { cb_instrs = instrs; cb_term = compile_term blk.Cfg.b_term;
-          cb_src = blk.Cfg.b_id; cb_lines = lines; cb_term_line = term_line })
+          cb_src = blk.Cfg.b_id; cb_locs = locs; cb_term_loc = term_loc })
       cfg.Cfg.blocks
   in
   {
@@ -514,6 +526,7 @@ let compile_proc t (cfg : Cfg.t) : cproc =
     cp_nregs = max env.nregs 1;
     cp_ninsts = max !ninsts 1;
     cp_params = cfg.Cfg.params;
+    cp_code = [||];
   }
 
 let compiled_proc t name =
@@ -560,7 +573,7 @@ let add_thread t ~cpu ~work =
       t_total_items = List.length work;
       t_clock = 0;
       t_frames = [];
-      t_work = work;
+      t_work = List.map (fun (proc, args) -> (Hashtbl.find t.proc_index proc, args)) work;
       t_prng = Prng.split t.master_prng;
       t_done = work = [];
     }
@@ -570,22 +583,20 @@ let add_thread t ~cpu ~work =
 (* --------------------------------------------------------------------- *)
 (* Execution *)
 
-let rec eval_cexpr regs prng (e : cexpr) =
+let rec eval_cexpr regs (e : cexpr) =
   match e with
   | Cint n -> n
   | Cslot s -> regs.(s)
   | Cbin (op, l, r) ->
-    let a = eval_cexpr regs prng l in
-    let b = eval_cexpr regs prng r in
+    let a = eval_cexpr regs l in
+    let b = eval_cexpr regs r in
     let bool_ c = if c then 1 else 0 in
     (match op with
     | Ast.Add -> a + b
     | Ast.Sub -> a - b
     | Ast.Mul -> a * b
-    | Ast.Div ->
-      if b = 0 then raise (Runtime_error ("division by zero", Loc.dummy)) else a / b
-    | Ast.Mod ->
-      if b = 0 then raise (Runtime_error ("division by zero", Loc.dummy)) else a mod b
+    | Ast.Div -> if b = 0 then raise Div_zero else a / b
+    | Ast.Mod -> if b = 0 then raise Div_zero else a mod b
     | Ast.Lt -> bool_ (a < b)
     | Ast.Le -> bool_ (a <= b)
     | Ast.Gt -> bool_ (a > b)
@@ -595,26 +606,26 @@ let rec eval_cexpr regs prng (e : cexpr) =
     | Ast.And -> bool_ (a <> 0 && b <> 0)
     | Ast.Or -> bool_ (a <> 0 || b <> 0))
 
-let address_of frame (acc : caccess) regs prng =
+(* Byte address of an access; its size is [acc.c_elem]. *)
+let address_of frame (acc : caccess) =
   let idx =
     match acc.c_index with
     | None -> 0
-    | Some e -> eval_cexpr regs prng e
+    | Some e -> eval_cexpr frame.f_regs e
   in
   if idx < 0 || idx >= acc.c_count then
     raise
       (Runtime_error
          (Printf.sprintf "index %d out of range (count %d)" idx acc.c_count, acc.c_loc));
-  let inst = frame.f_insts.(acc.c_inst) in
-  (inst.i_base + acc.c_off + (idx * acc.c_elem), acc.c_elem)
+  frame.f_insts.(acc.c_inst).i_base + acc.c_off + (idx * acc.c_elem)
 
-let make_frame t proc =
-  let cp = compiled_proc t proc in
+let no_instance = { i_id = -1; i_struct = ""; i_base = -1 }
+
+let make_frame cp =
   {
     f_proc = cp;
     f_regs = Array.make cp.cp_nregs 0;
-    f_insts = Array.make cp.cp_ninsts { i_id = -1; i_struct = ""; i_base = -1 };
-    f_code = Hashtbl.find t.code proc;
+    f_insts = Array.make cp.cp_ninsts no_instance;
     f_block = 0;
     f_ip = 0;
   }
@@ -629,7 +640,7 @@ let fetch_cost t thread frame =
   match t.config.icache with
   | None -> 0
   | Some _ ->
-    let addr, size = frame.f_code.(frame.f_block) in
+    let addr, size = frame.f_proc.cp_code.(frame.f_block) in
     if t.config.trace then
       t.fetch_trace_rev <-
         { t_cpu = thread.t_cpu; t_itc = thread.t_clock; t_addr = addr;
@@ -637,22 +648,24 @@ let fetch_cost t thread frame =
         :: t.fetch_trace_rev;
     Coherence.ifetch t.coherence ~cpu:thread.t_cpu ~addr ~size
 
-let start_invocation t thread (proc, args) =
-  let frame = make_frame t proc in
-  let next_int = ref 0 and next_inst = ref 0 in
-  List.iter2
-    (fun param arg ->
-      match (param, arg) with
-      | Ast.Pint _, Aint v ->
-        frame.f_regs.(!next_int) <- v;
-        incr next_int
-      | Ast.Pstruct _, Ainst i ->
-        frame.f_insts.(!next_inst) <- i;
-        incr next_inst
-      | _ -> assert false (* validated in add_thread *))
-    frame.f_proc.cp_params args;
-  thread.t_frames <- [ frame ];
-  frame
+(* Int parameters fill registers 0.., struct parameters instance slots
+   0.., each in parameter order. *)
+let rec bind_args frame ~reg ~inst params args =
+  match (params, args) with
+  | [], [] -> ()
+  | Ast.Pint _ :: params, Aint v :: args ->
+    frame.f_regs.(reg) <- v;
+    bind_args frame ~reg:(reg + 1) ~inst params args
+  | Ast.Pstruct _ :: params, Ainst i :: args ->
+    frame.f_insts.(inst) <- i;
+    bind_args frame ~reg ~inst:(inst + 1) params args
+  | _ -> assert false (* validated in add_thread *)
+
+let trace_access t thread addr (acc : caccess) ~is_write =
+  t.trace_rev <-
+    { t_cpu = thread.t_cpu; t_itc = thread.t_clock; t_addr = addr;
+      t_size = acc.c_elem; t_is_write = is_write }
+    :: t.trace_rev
 
 (* Execute one instruction (or terminator) of [thread]; returns its cost in
    cycles. *)
@@ -663,9 +676,12 @@ let step t thread =
     | [] ->
       thread.t_done <- true;
       0
-    | item :: rest ->
+    | (proc, args) :: rest ->
       thread.t_work <- rest;
-      let frame = start_invocation t thread item in
+      let cp = t.procs.(proc) in
+      let frame = make_frame cp in
+      bind_args frame ~reg:0 ~inst:0 cp.cp_params args;
+      thread.t_frames <- [ frame ];
       call_overhead + fetch_cost t thread frame)
   | frame :: parents ->
     let blk = frame.f_proc.cp_blocks.(frame.f_block) in
@@ -674,39 +690,33 @@ let step t thread =
       frame.f_ip <- frame.f_ip + 1;
       match instr with
       | CAssign { dst; value } ->
-        frame.f_regs.(dst) <- eval_cexpr frame.f_regs thread.t_prng value;
+        frame.f_regs.(dst) <- eval_cexpr frame.f_regs value;
         1
       | CRand { dst; bound; loc } ->
-        let b = eval_cexpr frame.f_regs thread.t_prng bound in
+        let b = eval_cexpr frame.f_regs bound in
         if b <= 0 then raise (Runtime_error ("rand bound must be positive", loc));
         frame.f_regs.(dst) <- Prng.int thread.t_prng b;
         1
       | CPause { cycles; loc } ->
-        let c = eval_cexpr frame.f_regs thread.t_prng cycles in
+        let c = eval_cexpr frame.f_regs cycles in
         if c < 0 then raise (Runtime_error ("negative pause", loc));
         1 + c
       | CLoad { dst; acc } ->
-        let addr, size = address_of frame acc frame.f_regs thread.t_prng in
-        if t.config.trace then
-          t.trace_rev <-
-            { t_cpu = thread.t_cpu; t_itc = thread.t_clock; t_addr = addr;
-              t_size = size; t_is_write = false }
-            :: t.trace_rev;
+        let addr = address_of frame acc in
+        if t.config.trace then trace_access t thread addr acc ~is_write:false;
         let latency =
-          Coherence.access t.coherence ~cpu:thread.t_cpu ~addr ~size ~is_write:false
+          Coherence.access t.coherence ~cpu:thread.t_cpu ~addr ~size:acc.c_elem
+            ~is_write:false
         in
         frame.f_regs.(dst) <- Flat_tab.find t.memory addr ~default:0;
         t.config.load_base + latency
       | CStore { acc; src } ->
-        let addr, size = address_of frame acc frame.f_regs thread.t_prng in
-        if t.config.trace then
-          t.trace_rev <-
-            { t_cpu = thread.t_cpu; t_itc = thread.t_clock; t_addr = addr;
-              t_size = size; t_is_write = true }
-            :: t.trace_rev;
-        let v = eval_cexpr frame.f_regs thread.t_prng src in
+        let addr = address_of frame acc in
+        if t.config.trace then trace_access t thread addr acc ~is_write:true;
+        let v = eval_cexpr frame.f_regs src in
         let latency =
-          Coherence.access t.coherence ~cpu:thread.t_cpu ~addr ~size ~is_write:true
+          Coherence.access t.coherence ~cpu:thread.t_cpu ~addr ~size:acc.c_elem
+            ~is_write:true
         in
         Flat_tab.set t.memory addr v;
         t.config.store_base + latency
@@ -717,22 +727,23 @@ let step t thread =
         frame.f_regs.(dst) <- Flat_tab.find t.memory addr ~default:0;
         t.config.load_base + latency
       | CGstore { addr; size; src } ->
-        let v = eval_cexpr frame.f_regs thread.t_prng src in
+        let v = eval_cexpr frame.f_regs src in
         let latency =
           Coherence.access t.coherence ~cpu:thread.t_cpu ~addr ~size ~is_write:true
         in
         Flat_tab.set t.memory addr v;
         t.config.store_base + latency
       | CCall { callee; int_args; inst_args; _ } ->
-        let child = make_frame t callee in
-        List.iter
-          (fun (slot, e) -> child.f_regs.(slot) <- eval_cexpr frame.f_regs thread.t_prng e)
-          int_args;
-        List.iter
-          (fun (child_slot, parent_slot) ->
-            child.f_insts.(child_slot) <- frame.f_insts.(parent_slot))
-          inst_args;
-        thread.t_frames <- child :: frame :: parents;
+        let child = make_frame t.procs.(callee) in
+        for i = 0 to Array.length int_args - 1 do
+          let slot, e = int_args.(i) in
+          child.f_regs.(slot) <- eval_cexpr frame.f_regs e
+        done;
+        for i = 0 to Array.length inst_args - 1 do
+          let child_slot, parent_slot = inst_args.(i) in
+          child.f_insts.(child_slot) <- frame.f_insts.(parent_slot)
+        done;
+        thread.t_frames <- child :: thread.t_frames;
         call_overhead + fetch_cost t thread child
     end
     else begin
@@ -742,7 +753,7 @@ let step t thread =
         frame.f_ip <- 0;
         1 + fetch_cost t thread frame
       | CBranch { cond; if_true; if_false; _ } ->
-        let v = eval_cexpr frame.f_regs thread.t_prng cond in
+        let v = eval_cexpr frame.f_regs cond in
         frame.f_block <- (if v <> 0 then if_true else if_false);
         frame.f_ip <- 0;
         1 + fetch_cost t thread frame
@@ -751,62 +762,101 @@ let step t thread =
         1
     end
 
-(* Location of the code the thread is about to execute — the "IP" a PMU
-   sample firing during the instruction would record. *)
-let current_location thread =
-  match thread.t_frames with
-  | [] -> None
-  | frame :: _ ->
-    let blk = frame.f_proc.cp_blocks.(frame.f_block) in
-    let line =
-      if frame.f_ip < Array.length blk.cb_lines then blk.cb_lines.(frame.f_ip)
-      else blk.cb_term_line
-    in
-    Some (frame.f_proc.cp_name, blk.cb_src, line)
+(* Location of the instruction at [ip] of [block] (the terminator when
+   [ip] is past the last instruction). *)
+let location frame ~block ~ip =
+  let blk = frame.f_proc.cp_blocks.(block) in
+  if ip < Array.length blk.cb_locs then blk.cb_locs.(ip) else blk.cb_term_loc
+
+(* Attribute every sample tick up to [t1] to the instruction the step
+   executed — at [block]/[ip] of [frame], saved before the step: the PMU
+   interrupts mid-instruction. Only called once a tick is crossed. *)
+let record_samples t thread frame ~block ~ip t1 =
+  match t.config.sample_period with
+  | None -> ()
+  | Some p ->
+    let cpu = thread.t_cpu in
+    let line = Loc.line (location frame ~block ~ip) in
+    while t.next_sample.(cpu) <= t1 do
+      t.samples_rev <-
+        { s_cpu = cpu; s_itc = t.next_sample.(cpu); s_proc = frame.f_proc.cp_name;
+          s_block = frame.f_proc.cp_blocks.(block).cb_src; s_line = line }
+        :: t.samples_rev;
+      t.next_sample.(cpu) <- t.next_sample.(cpu) + p
+    done
+
+(* The located error for a [Div_zero] raised by the step that started at
+   [block]/[ip] of [frame] — the same message and location the profiling
+   interpreter reports. A step evaluates at most one index, always first,
+   and evaluation is pure, so re-evaluating it tells whether the index
+   divided by zero. *)
+let division_error frame ~block ~ip =
+  let blk = frame.f_proc.cp_blocks.(block) in
+  let in_index =
+    ip < Array.length blk.cb_instrs
+    &&
+    match blk.cb_instrs.(ip) with
+    | CLoad { acc = { c_index = Some e; _ }; _ }
+    | CStore { acc = { c_index = Some e; _ }; _ } -> (
+      match eval_cexpr frame.f_regs e with _ -> false | exception Div_zero -> true)
+    | _ -> false
+  in
+  Runtime_error
+    ( (if in_index then "division by zero in index" else "division by zero"),
+      location frame ~block ~ip )
 
 let run t =
   if t.ran then invalid_arg "Machine.run: machine already ran";
   t.ran <- true;
   t.frozen <- true;
-  let heap = Heap.create () in
+  (* Resolve every procedure once: calls and invocation starts index
+     [t.procs] instead of looking names up. The code layout is final now. *)
+  t.procs <-
+    Array.map
+      (fun name ->
+        let cp = compiled_proc t name in
+        cp.cp_code <- Hashtbl.find t.code name;
+        cp)
+      t.proc_names;
   let invocations =
     Hashtbl.fold (fun _ th acc -> acc + List.length th.t_work) t.threads 0
   in
-  Hashtbl.iter
-    (fun _ th -> if not th.t_done then Heap.push heap ~priority:0 th)
-    t.threads;
-  let period = t.config.sample_period in
-  let rec drain () =
-    match Heap.pop heap with
-    | None -> ()
-    | Some (_, thread) ->
-      let loc_before = current_location thread in
-      let t0 = thread.t_clock in
-      let cost = step t thread in
-      let t1 = t0 + cost in
-      thread.t_clock <- t1;
-      (match (period, loc_before) with
-      | Some p, Some (proc, block, line) ->
-        (* Attribute every sample tick crossed by this instruction to the
-           instruction's location — the PMU interrupts mid-instruction. *)
-        let cpu = thread.t_cpu in
-        while t.next_sample.(cpu) <= t1 do
-          t.samples_rev <-
-            {
-              s_cpu = cpu;
-              s_itc = t.next_sample.(cpu);
-              s_proc = proc;
-              s_block = block;
-              s_line = line;
-            }
-            :: t.samples_rev;
-          t.next_sample.(cpu) <- t.next_sample.(cpu) + p
-        done
-      | _ -> ());
-      if not thread.t_done then Heap.push heap ~priority:thread.t_clock thread;
-      drain ()
-  in
-  drain ();
+  (* Runnable threads enter the queue at clock 0 in [Hashtbl.iter] order:
+     the FIFO tie rule makes that order the first round's interleaving,
+     and everything after it depends on it. *)
+  let runnable = ref [] in
+  Hashtbl.iter (fun _ th -> if not th.t_done then runnable := th :: !runnable) t.threads;
+  let threads = Array.of_list (List.rev !runnable) in
+  let queue = Runq.create ~capacity:(Array.length threads) in
+  Array.iteri (fun i _ -> Runq.push queue ~clock:0 i) threads;
+  (* The running thread stays at the root while it steps, and is re-keyed
+     in place afterwards; [block]/[ip] hold the instruction it is about to
+     execute, for sampling and for locating a division by zero. *)
+  let block = ref 0 and ip = ref 0 in
+  (try
+     while not (Runq.is_empty queue) do
+       let thread = threads.(Runq.top queue) in
+       let frames = thread.t_frames in
+       (match frames with
+       | frame :: _ ->
+         block := frame.f_block;
+         ip := frame.f_ip
+       | [] -> ());
+       let t1 = thread.t_clock + step t thread in
+       thread.t_clock <- t1;
+       (* Ticks crossed while no frame is active stay pending until the
+          thread's next instruction. *)
+       (match frames with
+       | frame :: _ when t.next_sample.(thread.t_cpu) <= t1 ->
+         record_samples t thread frame ~block:!block ~ip:!ip t1
+       | _ -> ());
+       if thread.t_done then Runq.remove_root queue
+       else Runq.requeue_root queue ~clock:t1
+     done
+   with Div_zero -> (
+     match threads.(Runq.top queue).t_frames with
+     | frame :: _ -> raise (division_error frame ~block:!block ~ip:!ip)
+     | [] -> assert false));
   let n = Topology.num_cpus t.config.topology in
   let cpu_cycles = Array.make n 0 in
   let cpu_invocations = Array.make n 0 in

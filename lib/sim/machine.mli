@@ -8,6 +8,23 @@
     coherence traffic (including false sharing) emerges from the actual
     access streams.
 
+    Scheduling. Runnable threads sit in a {!Runq}, a min-heap of thread
+    indices keyed by [(clock, seq)] in three [int] arrays, where [seq] is
+    stamped on every (re)insertion so equal clocks run first-come
+    first-served. The running thread stays at the root while it executes
+    one instruction; it is then re-keyed in place to its new clock and a
+    fresh [seq] and sifted down once (or, when done, replaced by the last
+    entry). Because keys are unique, this picks exactly the thread that
+    popping it and pushing it back would: the interleaving is that of a
+    pop-then-push heap, at one sift per step. The initial clock-0 entries
+    are pushed in [Hashtbl.iter] order over the CPU-keyed thread table:
+    through the tie rule, that order fixes the first round's interleaving
+    and hence everything after it (test_workload pins the outcome).
+    The step loop allocates nothing per instruction: procedures are
+    resolved to their compiled bodies and code addresses once when {!run}
+    starts, the executing block and instruction index are saved as
+    integers, and a sample record is built only when a tick is crossed.
+
     The per-CPU clock doubles as the Itanium ITC analog: clocks start
     synchronized at 0 and tick with that CPU's own progress, and the
     optional sampler records (cpu, code location, clock) triples every

@@ -4,6 +4,8 @@
    test/test_simkern.ml hold the two to identical stats, latencies and
    holder sets. Keep the two in lock-step when changing protocol logic. *)
 
+module Flat_tab = Slo_util.Flat_tab
+
 (* Cache-line states, packed into the low 2 bits of a slot word. *)
 let st_m = 0 (* Modified *)
 let st_o = 1 (* Owned (MOESI only) *)

@@ -17,6 +17,8 @@
    accepted configs are tiny (<= 62 bits of state) so whole suites run in
    well under a second each. *)
 
+module Flat_tab = Slo_util.Flat_tab
+
 type topo_kind = Bus | Superdome
 
 type config = {

@@ -28,7 +28,7 @@
     States are canonicalized by packing every per-(CPU, line) summary
     (cache-state code + pending-hint code) plus the per-line touched bits
     into a single nonnegative [int] (<= 62 bits for every accepted
-    config), and the visited set is a {!Flat_tab} over those packed keys —
+    config), and the visited set is a {!Slo_util.Flat_tab} over those packed keys —
     the same open-addressing table the kernel itself uses. Reachable-state
     counts per (protocol, topology, k, m) are pinned in
     {!standard_suite}; any future semantic drift in [memkern.ml] or

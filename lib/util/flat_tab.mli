@@ -1,6 +1,6 @@
 (** Flat open-addressing int -> int hash table for hot paths — the
-    simulator memory kernel and the streaming sample binner both sit on
-    it (it is re-exported as [Slo_sim.Flat_tab] for the former).
+    simulator memory kernel, the simulated value store and the streaming
+    sample binner all sit on it.
 
     The boxed [Hashtbl] the memory system used to sit on allocates an
     [option] per [find_opt], a bucket cons per insert and (for the

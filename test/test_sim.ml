@@ -777,3 +777,168 @@ let suites =
           Alcotest.test_case "cross-instance ignored" `Quick test_oracle_ignores_cross_instance;
         ] );
     ]
+
+(* ------------------------------------------------------------------ *)
+(* Run queue: the scheduler's int-array heap against the generic heap it
+   replaced. [Heap] (test-side oracle) pops the root and pushes it back;
+   [Runq] re-keys the root in place. Unique (clock, seq) keys make the two
+   agree on every top, which is what keeps machine runs byte-identical. *)
+
+module Runq = Slo_sim.Runq
+
+type runq_op = Push of int | Requeue of int | Remove
+
+let runq_op_gen =
+  (* clocks from a tiny range, so most keys tie on the clock and the seq
+     tie-break decides *)
+  QCheck2.Gen.(
+    let* clock = int_range 0 3 in
+    frequency [ (3, return (Push clock)); (4, return (Requeue clock)); (2, return Remove) ])
+
+let prop_runq_matches_heap =
+  QCheck2.Test.make ~name:"Runq top = Heap pop-then-push top under ties" ~count:500
+    ~print:(fun ops ->
+      String.concat " "
+        (List.map
+           (function
+             | Push c -> Printf.sprintf "push%d" c
+             | Requeue c -> Printf.sprintf "requeue%d" c
+             | Remove -> "remove")
+           ops))
+    QCheck2.Gen.(list_size (int_range 1 120) runq_op_gen)
+    (fun ops ->
+      let q = Runq.create ~capacity:1 and h = Heap.create () in
+      let next_id = ref 0 in
+      let agree () =
+        match Heap.peek h with
+        | None -> Runq.is_empty q
+        | Some (clock, id) ->
+          Runq.size q = Heap.size h && Runq.top q = id && Runq.top_clock q = clock
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Push clock ->
+            Runq.push q ~clock !next_id;
+            Heap.push h ~priority:clock !next_id;
+            incr next_id
+          | Requeue clock when not (Runq.is_empty q) ->
+            Runq.requeue_root q ~clock;
+            (match Heap.pop h with
+            | Some (_, id) -> Heap.push h ~priority:clock id
+            | None -> ())
+          | Remove when not (Runq.is_empty q) ->
+            Runq.remove_root q;
+            ignore (Heap.pop h)
+          | Requeue _ | Remove -> ());
+          agree ())
+        ops)
+
+let test_runq_empty_rejected () =
+  let q = Runq.create ~capacity:0 in
+  let rejects name f =
+    match f () with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.fail (name ^ " accepted an empty queue")
+  in
+  rejects "top" (fun () -> ignore (Runq.top q));
+  rejects "requeue_root" (fun () -> Runq.requeue_root q ~clock:0);
+  rejects "remove_root" (fun () -> Runq.remove_root q);
+  Runq.push q ~clock:0 7;
+  Runq.remove_root q;
+  Alcotest.(check bool) "empty again" true (Runq.is_empty q)
+
+(* ------------------------------------------------------------------ *)
+(* Dynamic errors: the machine reports a division by zero with the same
+   message and source location as the profiling interpreter. *)
+
+let div_src =
+  {|
+struct S { long a; long arr[4]; };
+void callee(struct S *s, int k) {
+  s->a = k;
+}
+void assign(struct S *s, int n) {
+  x = 1;
+  y = x / n;
+}
+void index_load(struct S *s, int n) {
+  x = s->arr[1 / n];
+}
+void index_store(struct S *s, int n) {
+  s->arr[2 % n] = 1;
+}
+void store_value(struct S *s, int n) {
+  s->a = 3 / n;
+}
+void branch(struct S *s, int n) {
+  if (4 / n > 0) {
+    s->a = 1;
+  }
+}
+void call_arg(struct S *s, int n) {
+  callee(s, 5 / n);
+}
+|}
+
+let test_division_location_matches_interp () =
+  let module Interp = Slo_profile.Interp in
+  let module Loc = Slo_ir.Loc in
+  let program = Typecheck.check (Parser.parse_program ~file:"div.mc" div_src) in
+  let error f =
+    match f () with
+    | exception Interp.Runtime_error (msg, loc) -> (msg, loc)
+    | () -> Alcotest.fail "no runtime error"
+  in
+  List.iter
+    (fun (proc, line, msg) ->
+      let interp =
+        error (fun () ->
+            let ctx = Interp.make_ctx program in
+            let s = Interp.make_instance program ~struct_name:"S" in
+            Interp.run ctx ~prng:(Slo_util.Prng.create ~seed:1) ~proc
+              [ Interp.Ainst s; Interp.Aint 0 ])
+      in
+      let machine =
+        error (fun () ->
+            let m =
+              Machine.create (Machine.default_config (Topology.superdome ~cpus:4 ())) program
+            in
+            let s = Machine.alloc m ~struct_name:"S" in
+            (* a healthy thread alongside, so the fault is not the only runnable *)
+            Machine.add_thread m ~cpu:1
+              ~work:(List.init 3 (fun _ -> ("callee", [ Machine.Ainst s; Machine.Aint 1 ])));
+            Machine.add_thread m ~cpu:2 ~work:[ (proc, [ Machine.Ainst s; Machine.Aint 0 ]) ];
+            ignore (Machine.run m))
+      in
+      Alcotest.(check string) (proc ^ ": interp message") msg (fst interp);
+      check_int (proc ^ ": interp line") line (Loc.line (snd interp));
+      Alcotest.(check string) (proc ^ ": machine message") (fst interp) (fst machine);
+      Alcotest.(check string)
+        (proc ^ ": machine location")
+        (Loc.to_string (snd interp))
+        (Loc.to_string (snd machine)))
+    (* source lines of [div_src], which starts with a newline *)
+    [
+      ("assign", 8, "division by zero");
+      ("index_load", 11, "division by zero in index");
+      ("index_store", 14, "division by zero in index");
+      ("store_value", 17, "division by zero");
+      ("branch", 20, "division by zero");
+      ("call_arg", 25, "division by zero");
+    ]
+
+let suites =
+  suites
+  @ [
+      ( "sim.runq",
+        [
+          QCheck_alcotest.to_alcotest prop_runq_matches_heap;
+          Alcotest.test_case "empty queue rejected" `Quick test_runq_empty_rejected;
+        ] );
+      ( "sim.machine-errors",
+        [
+          Alcotest.test_case "division location = interp" `Quick
+            test_division_location_matches_interp;
+        ] );
+    ]

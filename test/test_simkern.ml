@@ -6,7 +6,7 @@
 module Topology = Slo_sim.Topology
 module Cache = Slo_sim.Cache
 module Coherence = Slo_sim.Coherence
-module Flat_tab = Slo_sim.Flat_tab
+module Flat_tab = Slo_util.Flat_tab
 module Sim_stats = Slo_sim.Sim_stats
 module Machine = Slo_sim.Machine
 module Parser = Slo_ir.Parser

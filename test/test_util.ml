@@ -1,8 +1,7 @@
-(* Tests for Slo_util: Prng, Stats, Heap. *)
+(* Tests for Slo_util (Prng, Stats) and for the test-side Heap oracle. *)
 
 module Prng = Slo_util.Prng
 module Stats = Slo_util.Stats
-module Heap = Slo_util.Heap
 
 let check_float = Alcotest.(check (float 1e-9))
 let check_int = Alcotest.(check int)

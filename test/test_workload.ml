@@ -271,3 +271,57 @@ let suites =
           Alcotest.test_case "oracle on kernel" `Slow test_trace_oracle_on_kernel;
         ] );
     ]
+
+(* ------------------------------------------------------------------ *)
+(* Golden pin of everything the scheduler decides: the interleaving of
+   per-CPU interpreters by (clock, arrival) is visible in the makespan,
+   the per-CPU clocks, every memory-system counter and the PMU sample
+   stream. The values were captured before the run queue replaced the
+   generic heap; any change to the pop order — including the order of
+   the initial clock-0 pushes — moves at least one of them. *)
+
+let scheduler_fingerprint (r : Machine.result) =
+  let st = r.Machine.stats in
+  let samples = Buffer.create 4096 in
+  List.iter
+    (fun (s : Machine.sample) ->
+      Printf.bprintf samples "%d %d %s %d %d\n" s.Machine.s_cpu s.Machine.s_itc
+        s.Machine.s_proc s.Machine.s_block s.Machine.s_line)
+    r.Machine.samples;
+  let module S = Slo_sim.Sim_stats in
+  Printf.sprintf
+    "makespan %d; cycles %s; loads %d stores %d hits %d cold %d cap %d true %d \
+     false %d upg %d inv %d wb %d stall %d; samples %d md5 %s"
+    r.Machine.makespan
+    (String.concat "," (Array.to_list (Array.map string_of_int r.Machine.cpu_cycles)))
+    st.S.loads st.S.stores st.S.hits st.S.cold_misses st.S.capacity_misses
+    st.S.true_sharing_misses st.S.false_sharing_misses st.S.upgrades
+    st.S.invalidations st.S.writebacks st.S.stall_cycles
+    (List.length r.Machine.samples)
+    (Digest.to_hex (Digest.string (Buffer.contents samples)))
+
+let test_scheduler_golden_unsampled () =
+  Alcotest.(check string) "16-cpu unsampled run"
+    "makespan 34315; cycles 30796,32145,28064,30669,34315,30261,27979,28156,\
+     32280,31997,31604,29702,33511,27409,31341,27277; loads 16300 stores 1060 \
+     hits 16484 cold 126 cap 344 true 388 false 18 upg 149 inv 485 wb 366 \
+     stall 278845; samples 0 md5 d41d8cd98f00b204e9800998ecf8427e"
+    (scheduler_fingerprint (Sdet.run_once (small_cfg ~reps:6 16)))
+
+let test_scheduler_golden_sampled () =
+  let cfg = { (small_cfg ~reps:6 8) with Sdet.sample_period = Some 499 } in
+  Alcotest.(check string) "8-cpu sampled run"
+    "makespan 26118; cycles 24531,23593,23874,23441,26118,23129,23731,24038; \
+     loads 8162 stores 540 hits 8320 cold 86 cap 149 true 136 false 11 upg 83 \
+     inv 182 wb 144 stall 87677; samples 382 md5 fb6d44e62c1aaf6a77f3e7693410f1ac"
+    (scheduler_fingerprint (Sdet.run_once cfg))
+
+let suites =
+  suites
+  @ [
+      ( "workload.scheduler-golden",
+        [
+          Alcotest.test_case "unsampled sdet" `Quick test_scheduler_golden_unsampled;
+          Alcotest.test_case "sampled sdet" `Quick test_scheduler_golden_sampled;
+        ] );
+    ]
