@@ -99,16 +99,11 @@ module Problem = struct
   let active p =
     List.filter (fun b -> Sgraph.degree p.graph (Block.name b) > 0) p.cblocks
 
-  let bin_size bin = List.fold_left (fun acc b -> acc + Block.size b) 0 bin
-
-  (* Same singleton exemption as the field objective: a lone block larger
-     than a line is legal (it simply spans lines); only merged bins must
-     fit. *)
-  let block_fits p = function
-    | [] | [ _ ] -> true
-    | bin -> bin_size bin <= p.capacity
-
-  let fits p bin b = bin_size bin + Block.size b <= p.capacity
+  (* A bin's size is the sum of its blocks' code bytes. The engine keeps
+     the field objective's singleton exemption: a lone block larger than a
+     line is legal (it simply spans lines); only merged bins must fit. *)
+  let extend _ size b = size + Block.size b
+  let capacity p = p.capacity
 
   let max_abs_weight p =
     List.fold_left

@@ -55,6 +55,11 @@ val capacity : t -> int
 val blocks : t -> Block.t list
 val graph : t -> Slo_graph.Sgraph.t
 
+module Problem :
+  Slo_search.Substrate.PROBLEM with type Node.t = Block.t and type t = t
+(** The block substrate the engine is instantiated at: bins grow by each
+    block's code bytes ([extend]) up to the line size ([capacity]). *)
+
 val score : t -> Block.t list list -> float
 (** Partition objective: sum over bins of intra-bin pair affinity —
     exactly the engine's [score_blocks] (cross-bin pairs contribute

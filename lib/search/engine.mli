@@ -16,6 +16,20 @@
     Error messages keep the historical ["Search.Optimizer.run"] prefix:
     the engine is the optimizer core, whatever the substrate.
 
+    {b Dense state.} The search runs on integer node ids: the problem's
+    nodes are indexed once per [run] (once per portfolio, shared
+    read-only by its tasks), weights between active nodes sit in a dense
+    matrix of [|active|]² floats (an inactive node weighs 0 and is
+    skipped), each block is an
+    order-preserving id buffer with its capacity size cached, and
+    capacity checks go through [P.extend]/[P.capacity]. The candidate
+    sums visit block members in the same order as the list-based engine
+    did, so scores, moves and blocks are bit-identical to it (pinned by
+    a differential QCheck law against that engine, kept in
+    [test/engine_ref.ml], and by golden portfolios in
+    [test/test_search.ml]). Results are still scored through
+    {!Substrate.Pairs}.
+
     {b Determinism contract.} [run] is a pure function of
     [(problem, init, kind, prng state, steps)]. {!Make.run_selector}
     derives one independent PRNG per task {e index} via
@@ -63,8 +77,9 @@ module Make (P : Substrate.PROBLEM) : sig
     kind ->
     result
   (** Run one optimizer from the seed partition [init]. [init] must
-      partition the problem's node set; multi-node blocks must satisfy
-      [P.block_fits]. The result never scores below [init].
+      partition the problem's node set; a multi-node block's size (the
+      fold of [P.extend] from 0) must be at most [P.capacity]. The result
+      never scores below [init].
       @raise Invalid_argument if [init] is not a partition or violates
       the capacity rule, or if [steps <= 0]. *)
 

@@ -18,12 +18,11 @@ module Problem = struct
   let nodes (o : Objective.t) = o.Objective.fields
   let weight = Objective.weight
   let active = Objective.active_fields
-  let block_fits = Objective.block_fits
 
-  (* Only called on non-empty blocks not containing [f]: can [f] join
-     without overflowing the cache line? *)
-  let fits (o : Objective.t) block (f : Field.t) =
-    Layout.packed_extend (Layout.packed_size block) f <= o.Objective.line_size
+  (* [Layout.packed_size] is the fold of [packed_extend] from 0, so the
+     engine's derived rules are [Objective.block_fits]. *)
+  let extend (_ : Objective.t) size f = Layout.packed_extend size f
+  let capacity (o : Objective.t) = o.Objective.line_size
 
   let max_abs_weight (o : Objective.t) =
     List.fold_left

@@ -36,6 +36,14 @@
     and records its duration into [search.task_s]; {!run_selector} times
     itself into [search.portfolio_s]. Write-only, as everywhere else. *)
 
+module Problem :
+  Substrate.PROBLEM
+    with type Node.t = Slo_layout.Field.t
+     and type t = Objective.t
+(** The field substrate the engine is instantiated at: {!Objective}'s
+    fields, weights and active set, with [Layout.packed_extend] as
+    [extend] and the line size as [capacity]. *)
+
 type kind = Engine.kind = Greedy | Swap | Anneal
 
 val kind_name : kind -> string

@@ -37,7 +37,7 @@ module type PROBLEM = sig
   val nodes : t -> Node.t list
   val weight : t -> string -> string -> float
   val active : t -> Node.t list
-  val block_fits : t -> Node.t list -> bool
-  val fits : t -> Node.t list -> Node.t -> bool
+  val extend : t -> int -> Node.t -> int
+  val capacity : t -> int
   val max_abs_weight : t -> float
 end

@@ -10,12 +10,14 @@
 
     - {b nodes} with stable unique names (weights are keyed by name);
     - a {b weight} provider: the affinity/penalty balance for a node pair
-      (0 for absent edges);
-    - a {b capacity} provider: [block_fits] validates a whole block,
-      [fits] answers the incremental question "can this node join this
-      non-empty block?" — the engine only calls [fits] on non-empty
-      blocks (an empty block always accepts, and a singleton block is
-      always valid: an oversized node still gets its own block).
+      (0 for absent edges). A node with no incident edge is inactive and
+      weighs 0 against every other node; the engine relies on this and
+      never asks for an inactive node's weights;
+    - a {b capacity} provider: [extend] grows a block's size by one node
+      and [capacity] bounds it. The engine derives the whole-block rule
+      (a singleton always fits, a multi-node block must fit [capacity])
+      and the incremental one (can a node join this non-empty block?)
+      from these two, and caches each block's size.
 
     {!Pairs} is the shared scoring primitive: the fold order over
     unordered pairs is part of the contract — every consumer (the greedy
@@ -65,17 +67,20 @@ module type PROBLEM = sig
   val active : t -> Node.t list
   (** Nodes with at least one incident edge — the only ones worth moving;
       the engine leaves every other node where the seed partition put
-      it. *)
+      it. [weight] is 0 between an inactive node and any other node. *)
 
-  val block_fits : t -> Node.t list -> bool
-  (** Whole-block capacity rule: a singleton always fits; a multi-node
-      block must fit the capacity (one cache line). Used to validate seed
-      partitions. *)
+  val extend : t -> int -> Node.t -> int
+  (** [extend p size n]: the capacity size of a block of size [size]
+      once [n] is appended to it. A block's size is
+      [List.fold_left (extend p) 0 block], so [extend] must be a pure
+      function of its arguments; the block order it folds is the order
+      the engine keeps. *)
 
-  val fits : t -> Node.t list -> Node.t -> bool
-  (** Incremental rule: can the node join this {e non-empty} block (which
-      does not contain it)? The engine never calls this on empty
-      blocks. *)
+  val capacity : t -> int
+  (** Capacity of one block (one cache line). The engine derives both
+      capacity rules from [extend] and [capacity]: a singleton always
+      fits (an oversized node still gets its own block), a multi-node
+      block fits iff its size is at most [capacity]. *)
 
   val max_abs_weight : t -> float
   (** Largest absolute edge weight — the annealer's initial

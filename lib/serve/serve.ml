@@ -156,7 +156,14 @@ let publish t cc ~drift =
   in
   t.version <- pub.version;
   t.last_cc <- Some cc;
-  t.pubs <- pub :: t.pubs;
+  (* Only the current publication keeps its CC map: the superseded one
+     stays in the history without it, so a long-running server holds one
+     map rather than one per publication. *)
+  t.pubs <-
+    pub
+    :: (match t.pubs with
+       | prev :: older -> { prev with cc_pairs = [] } :: older
+       | [] -> []);
   Obs.incr "serve.researches";
   Obs.incr "serve.publications";
   Obs.set_gauge "serve.version" (float_of_int pub.version);

@@ -52,7 +52,8 @@ type publication = {
   best : Slo_search.Optimizer.result;
   greedy_score : float;  (** the greedy baseline's score, for reference *)
   cc_pairs : ((int * int) * int) list;
-      (** the weighted window CC this suggestion was searched against *)
+      (** the weighted window CC this suggestion was searched against;
+          [[]] once superseded (see {!publications}) *)
   pub_drift : float;  (** the drift value that triggered it *)
   window_samples : int;
   window_intervals : int;
@@ -73,7 +74,11 @@ val version : t -> int
 
 val publications : t -> publication list
 (** Oldest first. Restored servers start with an empty list even when
-    [version > 0]. *)
+    [version > 0]. Only the newest entry carries its [cc_pairs]: when a
+    publication is superseded, the history keeps a copy with
+    [cc_pairs = []] (version, scores, layout and drift unchanged), so a
+    long-running server holds one CC map, not one per publication.
+    {!current} and {!research} results carry the full map. *)
 
 val current : t -> publication option
 (** The latest publication. *)

@@ -1,5 +1,6 @@
 (* Tests for lib/search: the shared layout objective, the metaheuristic
-   optimizers, and the parallel portfolio. Small random FLGs come from
+   optimizers, the parallel portfolio, the dense engine against its
+   list-based oracle, and golden portfolios. Small random FLGs come from
    Test_exec's generator so the brute-force partition oracle there and the
    optimizers here are exercised against the same instances. *)
 
@@ -15,6 +16,11 @@ module Pipeline = Slo_core.Pipeline
 module Objective = Slo_search.Objective
 module Optimizer = Slo_search.Optimizer
 module Trap = Slo_workload.Trap
+module Collect = Slo_workload.Collect
+module Kernel = Slo_workload.Kernel
+module Ctrap = Slo_workload.Ctrap
+module Engine = Slo_search.Engine
+module Codelayout = Slo_codelayout.Codelayout
 
 let checkf = Alcotest.(check (float 1e-6))
 let check_int = Alcotest.(check int)
@@ -332,6 +338,248 @@ let test_selector_task_counts () =
   check_int "anneal = baseline + restarts" 3 (n (Optimizer.One Optimizer.Anneal));
   check_int "portfolio" 5 (n Optimizer.Portfolio)
 
+(* ------------------------------------------------------------------ *)
+(* Differential law: the dense engine against the list-based one it
+   replaced (Engine_ref), on both substrates. Every run must agree on
+   block contents and order, the bits of every score, and move counts. *)
+
+module Diff (P : Slo_search.Substrate.PROBLEM) = struct
+  module New = Engine.Make (P)
+  module Old = Engine_ref.Make (P)
+
+  let names blocks = List.map (List.map P.Node.name) blocks
+
+  let same (a : New.result) (b : Old.result) =
+    a.New.kind = b.Old.kind
+    && String.equal a.New.label b.Old.label
+    && a.New.stream = b.Old.stream
+    && Int64.equal
+         (Int64.bits_of_float a.New.score)
+         (Int64.bits_of_float b.Old.score)
+    && a.New.moves = b.Old.moves
+    && names a.New.blocks = names b.Old.blocks
+
+  let agree prob ~init ~decl =
+    List.for_all
+      (fun kind ->
+        same
+          (New.run ~prng:(Prng.create ~seed:5) prob ~init kind)
+          (Old.run ~prng:(Prng.create ~seed:5) prob ~init kind))
+      [ Engine.Greedy; Engine.Swap; Engine.Anneal ]
+    && List.for_all
+         (fun selector ->
+           let a = New.run_selector ~seed:3 ~restarts:2 ~decl prob ~init selector
+           and b = Old.run_selector ~seed:3 ~restarts:2 ~decl prob ~init selector in
+           same a.New.best b.Old.best
+           && same a.New.greedy b.Old.greedy
+           && List.length a.New.scoreboard = List.length b.Old.scoreboard
+           && List.for_all2 same a.New.scoreboard b.Old.scoreboard)
+         [ Engine.One Engine.Greedy; Engine.One Engine.Swap;
+           Engine.One Engine.Anneal; Engine.Portfolio ]
+end
+
+module Diff_fields = Diff (Optimizer.Problem)
+module Diff_blocks = Diff (Codelayout.Problem)
+
+(* A random seed partition: nodes grouped by a random label, each group cut
+   into consecutive runs that [fits], and an empty block slipped in. *)
+let gen_partition ~fits nodes =
+  QCheck2.Gen.(
+    let n = List.length nodes in
+    let* labels = list_size (return n) (int_range 0 (n - 1)) in
+    let labelled = List.combine labels nodes in
+    let groups =
+      List.init n (fun l ->
+          List.filter_map (fun (l', x) -> if l' = l then Some x else None) labelled)
+    in
+    let pack group =
+      let close cur acc = if cur = [] then acc else List.rev cur :: acc in
+      let cur, acc =
+        List.fold_left
+          (fun (cur, acc) x ->
+            if cur = [] || fits (List.rev (x :: cur)) then (x :: cur, acc)
+            else ([ x ], close cur acc))
+          ([], []) group
+      in
+      List.rev (close cur acc)
+    in
+    let packed = List.concat_map pack groups in
+    let* at = int_range 0 (List.length packed) in
+    return (List.filteri (fun i _ -> i < at) packed
+            @ ([] :: List.filteri (fun i _ -> i >= at) packed)))
+
+(* Random small FLGs with mixed field sizes and alignments, plus up to two
+   edge-less (inactive) fields. *)
+let gen_field_problem =
+  QCheck2.Gen.(
+    let* flg = Test_exec.gen_small_flg in
+    let prim = oneofl Slo_ir.Ast.[ Char; Short; Int; Long ] in
+    let* fields =
+      flatten_l
+        (List.map
+           (fun (f : Field.t) ->
+             let* prim = prim and* count = int_range 1 3 in
+             return (Field.make ~name:f.Field.name ~prim ~count ()))
+           flg.Flg.fields)
+    in
+    let* extra = int_range 0 2 in
+    let cold = List.init extra (fun i -> fld (Printf.sprintf "cold%d" i)) in
+    let fields = fields @ cold in
+    let graph =
+      List.fold_left
+        (fun g (f : Field.t) -> Sgraph.add_node g f.Field.name)
+        flg.Flg.graph cold
+    in
+    let* line_size = oneofl [ 16; 32 ] in
+    let obj = Objective.make ~struct_name:"S" ~fields ~graph ~line_size in
+    let fits = Objective.block_fits obj in
+    let* init = gen_partition ~fits fields in
+    let* decl = gen_partition ~fits fields in
+    return (obj, init, decl))
+
+let gen_block_problem =
+  QCheck2.Gen.(
+    let* p = Test_codelayout.gen_small_problem in
+    let fits = Test_codelayout.bin_fits ~capacity:(Codelayout.capacity p) in
+    let* init = gen_partition ~fits (Codelayout.blocks p) in
+    let* decl = gen_partition ~fits (Codelayout.blocks p) in
+    return (p, init, decl))
+
+let prop_engine_matches_ref_fields =
+  QCheck2.Test.make
+    ~name:"dense engine = list engine on random FLGs (every kind, portfolio)"
+    ~count:150 gen_field_problem (fun (obj, init, decl) ->
+      Diff_fields.agree obj ~init ~decl)
+
+let prop_engine_matches_ref_blocks =
+  QCheck2.Test.make
+    ~name:
+      "dense engine = list engine on random code layouts (every kind, \
+       portfolio)" ~count:150 gen_block_problem (fun (p, init, decl) ->
+      Diff_blocks.agree p ~init ~decl)
+
+(* ------------------------------------------------------------------ *)
+(* Golden pin: the portfolio's output on the kernel structs and on the
+   code-layout trap, captured from the list-based engine. Each candidate
+   is pinned by label, the bits of its score, its move count and an MD5
+   of its block names in order, so any change to enumeration order, the
+   tie rule, the PRNG draws or the float summation order shows here. *)
+
+let candidate_pin ~label ~score ~moves names =
+  Printf.sprintf "%s %Lx %d %s" label (Int64.bits_of_float score) moves
+    (Digest.to_hex
+       (Digest.string
+          (String.concat "|" (List.map (String.concat ",") names))))
+
+let kernel_pins =
+  lazy
+    (let counts = Collect.profile () in
+     let samples = Collect.samples () in
+     let params = Collect.calibrated_params in
+     List.map
+       (fun s ->
+         let flg = Collect.flg ~params ~counts ~samples ~struct_name:s () in
+         let pf =
+           Pipeline.search ~params ~restarts:4 ~seed:11
+             ~selector:Optimizer.Portfolio flg
+         in
+         ( s,
+           List.map
+             (fun (r : Optimizer.result) ->
+               candidate_pin ~label:r.Optimizer.label ~score:r.Optimizer.score
+                 ~moves:r.Optimizer.moves
+                 (List.map
+                    (List.map (fun (f : Field.t) -> f.Field.name))
+                    r.Optimizer.blocks))
+             pf.Optimizer.scoreboard ))
+       Kernel.struct_names)
+
+let ctrap_pins () =
+  let p =
+    Codelayout.of_program ~capacity:Ctrap.icache.Slo_sim.Coherence.i_line_size
+      (Ctrap.program ()) (Ctrap.profile ())
+  in
+  let pf = Codelayout.search ~seed:11 ~restarts:4 p Engine.Portfolio in
+  List.map
+    (fun (r : Codelayout.result) ->
+      candidate_pin ~label:r.Codelayout.label ~score:r.Codelayout.score
+        ~moves:r.Codelayout.moves
+        (List.map (List.map Codelayout.Block.name) r.Codelayout.bins))
+    pf.Codelayout.scoreboard
+
+let golden_kernel =
+  [
+    ( "A",
+      [
+        "greedy 40d71b2666666666 0 9627c6d5da753882759c80d7b0bd66a8";
+        "swap 40d71b2666666666 0 9627c6d5da753882759c80d7b0bd66a8";
+        "anneal#0 40d71b2666666666 2103 9627c6d5da753882759c80d7b0bd66a8";
+        "anneal#1 40d71b2666666666 2098 9627c6d5da753882759c80d7b0bd66a8";
+        "anneal#2 40d71b2666666666 2052 9627c6d5da753882759c80d7b0bd66a8";
+        "anneal#3 40d71b2666666666 1984 9627c6d5da753882759c80d7b0bd66a8";
+        "swap@decl 40d70f2666666666 10 994b8a5ebc05981ef7ea6d09b107a589";
+      ] );
+    ( "B",
+      [
+        "greedy 40a2000000000000 0 93fae721727fd215a9dad4ab42252354";
+        "swap 40a2000000000000 0 93fae721727fd215a9dad4ab42252354";
+        "swap@decl 40a2000000000000 0 ea5a937454245aa3646151c64f32cfb0";
+        "anneal#0 40a2000000000000 747 93fae721727fd215a9dad4ab42252354";
+        "anneal#1 40a2000000000000 784 93fae721727fd215a9dad4ab42252354";
+        "anneal#2 40a2000000000000 709 93fae721727fd215a9dad4ab42252354";
+        "anneal#3 40a2000000000000 794 93fae721727fd215a9dad4ab42252354";
+      ] );
+    ( "C",
+      [
+        "greedy 4068000000000000 0 f1aae132cbfec61c264aea1e094cb13f";
+        "swap 4068000000000000 0 f1aae132cbfec61c264aea1e094cb13f";
+        "swap@decl 4068000000000000 0 13841d3d97d7b616fa50b5a54ce4a80a";
+        "anneal#0 4068000000000000 0 f1aae132cbfec61c264aea1e094cb13f";
+        "anneal#1 4068000000000000 6 f1aae132cbfec61c264aea1e094cb13f";
+        "anneal#2 4068000000000000 0 f1aae132cbfec61c264aea1e094cb13f";
+        "anneal#3 4068000000000000 0 f1aae132cbfec61c264aea1e094cb13f";
+      ] );
+    ( "D",
+      [
+        "greedy 4079800000000000 0 2f7e6f09d4961320da81385e657c43ca";
+        "swap 4079800000000000 0 2f7e6f09d4961320da81385e657c43ca";
+        "swap@decl 4079800000000000 2 74772b5124075477110d3f366b607b57";
+        "anneal#0 4079800000000000 362 2f7e6f09d4961320da81385e657c43ca";
+        "anneal#1 4079800000000000 319 2f7e6f09d4961320da81385e657c43ca";
+        "anneal#2 4079800000000000 283 b811c4e9f84e924d0bfdeba8c0a4e804";
+        "anneal#3 4079800000000000 307 2f7e6f09d4961320da81385e657c43ca";
+      ] );
+    ( "E",
+      [
+        "greedy 4058000000000000 0 af32edfa66bee9b6e3677a7a1839a983";
+        "swap 4058000000000000 0 af32edfa66bee9b6e3677a7a1839a983";
+        "swap@decl 4058000000000000 1 6782b584b1d3951c8030a1ada2d1724c";
+        "anneal#0 4058000000000000 189 af32edfa66bee9b6e3677a7a1839a983";
+        "anneal#1 4058000000000000 173 af32edfa66bee9b6e3677a7a1839a983";
+        "anneal#2 4058000000000000 193 af32edfa66bee9b6e3677a7a1839a983";
+        "anneal#3 4058000000000000 160 af32edfa66bee9b6e3677a7a1839a983";
+      ] );
+  ]
+
+let golden_ctrap =
+  [
+    "swap 40a8000000000000 24 09e2742ea15aa1a64aa61a14cd6b3d56";
+    "anneal#1 409ae80000000000 4964 2cd17ca808b7efc6df50a3daaafa3ab2";
+    "anneal#3 4099040000000000 5156 d0c3c6ac80d3e232e99239677ebfbf0b";
+    "anneal#2 4098080000000000 4487 d6830e4c80463b1a77f4f97fe0b4de17";
+    "anneal#0 4098040000000000 4986 9d160323d746ee2cc5ecb88d232acbd9";
+    "greedy 4089800000000000 0 c2b5d2a3641d57e5a81f8775541cdd27";
+  ]
+
+let test_golden_kernel s () =
+  Alcotest.(check (list string))
+    (Printf.sprintf "struct %s portfolio" s)
+    (List.assoc s golden_kernel)
+    (List.assoc s (Lazy.force kernel_pins))
+
+let test_golden_ctrap () =
+  Alcotest.(check (list string)) "ctrap portfolio" golden_ctrap (ctrap_pins ())
+
 let suites =
   [
     ( "search.objective",
@@ -364,4 +612,17 @@ let suites =
         Alcotest.test_case "selector task counts" `Quick
           test_selector_task_counts;
       ] );
+    ( "search.engine",
+      [
+        QCheck_alcotest.to_alcotest prop_engine_matches_ref_fields;
+        QCheck_alcotest.to_alcotest prop_engine_matches_ref_blocks;
+      ] );
+    ( "search.golden",
+      List.map
+        (fun s ->
+          Alcotest.test_case ("struct " ^ s ^ " portfolio pinned") `Quick
+            (test_golden_kernel s))
+        Kernel.struct_names
+      @ [ Alcotest.test_case "ctrap portfolio pinned" `Quick test_golden_ctrap ]
+    );
   ]

@@ -330,6 +330,50 @@ let test_drift_trigger () =
     "drift of second exceeds threshold" true
     ((List.nth pubs 1).Serve.pub_drift > 0.05)
 
+(* A superseded publication drops its CC map from the history; everything
+   else about it stays as it was published. *)
+let test_history_drops_superseded_cc () =
+  let t = Serve.create (mk_cfg ~window:8 ()) in
+  ignore (Serve.submit t (batch ~idx:0 ~lines:(1, 2)));
+  Serve.drain t;
+  let p1 = Option.get (Serve.current t) in
+  let p2 = Serve.research t in
+  ignore (Serve.submit t (batch ~idx:1 ~lines:(3, 4)));
+  Serve.drain t;
+  let p3 = Serve.research t in
+  let published = [ p1; p2; p3 ] in
+  List.iter
+    (fun (p : Serve.publication) ->
+      Alcotest.(check bool) "published with its CC map" true (p.Serve.cc_pairs <> []))
+    published;
+  let history = Serve.publications t in
+  check_int "every publication kept" (Serve.version t) (List.length history);
+  Alcotest.(check bool) "at least three" true (List.length history >= 3);
+  let newest = List.nth history (List.length history - 1) in
+  check_int "newest is the last research" p3.Serve.version newest.Serve.version;
+  Alcotest.(check bool) "newest keeps its map" true
+    (newest.Serve.cc_pairs = p3.Serve.cc_pairs);
+  List.iter
+    (fun (h : Serve.publication) ->
+      if h.Serve.version <> newest.Serve.version then
+        Alcotest.(check bool)
+          (Printf.sprintf "v%d map dropped" h.Serve.version)
+          true (h.Serve.cc_pairs = []))
+    history;
+  List.iter
+    (fun (p : Serve.publication) ->
+      let h =
+        List.find (fun (h : Serve.publication) -> h.Serve.version = p.Serve.version) history
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "v%d drift and score unchanged" p.Serve.version)
+        true
+        (Int64.bits_of_float h.Serve.pub_drift = Int64.bits_of_float p.Serve.pub_drift
+        && Int64.bits_of_float h.Serve.best.Optimizer.score
+           = Int64.bits_of_float p.Serve.best.Optimizer.score
+        && h.Serve.best.Optimizer.blocks == p.Serve.best.Optimizer.blocks))
+    published
+
 let test_daemon_run_stop () =
   let t = Serve.create (mk_cfg ~min_samples:1_000_000 ~queue_capacity:2 ()) in
   Serve.run t;
@@ -433,6 +477,8 @@ let suites =
         Alcotest.test_case "admission control" `Quick test_admission_control;
         Alcotest.test_case "drift-triggered publication" `Quick
           test_drift_trigger;
+        Alcotest.test_case "superseded publications drop their CC map"
+          `Quick test_history_drops_superseded_cc;
         Alcotest.test_case "daemon run/stop" `Quick test_daemon_run_stop;
         Alcotest.test_case "snapshot/restore identity" `Quick
           test_snapshot_restore_identity;
