@@ -9,7 +9,7 @@
      jobs=int                  member is an Int
      rows=list                 member is a List
 
-   Run by the @runtest-obs / @runtest-col aliases against the bench
+   Run by the @runtest-obs / @runtest-cc aliases against the bench
    artifacts and the manifest, so `dune runtest` fails if the bench JSON
    output regresses — including fields that exist but degrade to the wrong
    shape (e.g. a git_rev that is empty or not a string). *)

@@ -698,7 +698,7 @@ let run_micro () =
 
 (* ------------------------------------------------------------------ *)
 (* Differential smoke check: the parallel pipeline must be byte-identical
-   to the serial one. Runs on every `dune runtest` via the runtest-par
+   to the serial one. Runs on every `dune runtest` via the runtest-cc
    alias; exits non-zero on any divergence. *)
 
 let run_smoke () =
@@ -845,7 +845,7 @@ let run_cc_scale () =
      isolates the format itself (everything downstream of the store is
      shared). Then the full columnar CC (compute_store) at pool sizes
      1/2/4 must reproduce the in-memory list path's map exactly — any
-     divergence exits non-zero, so the runtest-col wiring doubles as the
+     divergence exits non-zero, so the runtest-cc wiring doubles as the
      columnar-determinism check. *)
   let n_col = if !quick then 200_000 else 10_000_000 in
   let col_cpus = 16 and col_lines = 24 in
@@ -1801,7 +1801,7 @@ let run_model_check () =
    samples, (2) at least one drift-triggered re-search published a new
    versioned layout, (3) a snapshot/restore round trip is byte-identical
    and a forced re-search on the restored server reproduces the
-   suggestion exactly. Any divergence exits non-zero — the runtest-serve
+   suggestion exactly. Any divergence exits non-zero — the runtest-cc
    wiring doubles as the service-soundness check. *)
 
 let run_serve () =

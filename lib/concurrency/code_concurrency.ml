@@ -1,10 +1,24 @@
 module Obs = Slo_obs.Obs
 
-type t = { tbl : ((int * int), int) Hashtbl.t }
+module Flat_tab = Slo_util.Flat_tab
 
-let key l1 l2 = if l1 <= l2 then (l1, l2) else (l2, l1)
+(* Packed unordered-pair key -> CC. Lines are identifiers bounded by
+   [Sample.max_id] (31 bits), so [(l1 lsl 31) lor l2] with [l1 <= l2] is a
+   non-negative 62-bit int: a flat-table key with no tuple box, whose
+   integer order is the lexicographic order of the (l1, l2) pair. *)
+type t = { tbl : Flat_tab.t }
 
-let cc t l1 l2 = try Hashtbl.find t.tbl (key l1 l2) with Not_found -> 0
+let key l1 l2 =
+  if l1 <= l2 then (l1 lsl Sample.id_bits) lor l2
+  else (l2 lsl Sample.id_bits) lor l1
+
+let key_lines k = (k lsr Sample.id_bits, k land Sample.max_id)
+
+let in_range l = l >= 0 && l <= Sample.max_id
+
+let cc t l1 l2 =
+  if in_range l1 && in_range l2 then Flat_tab.find t.tbl (key l1 l2) ~default:0
+  else 0
 
 (* Counts are non-negative throughout, so saturation at [max_int] keeps
    addition associative and commutative: min (a + b) max_int composes the
@@ -20,83 +34,115 @@ let sat_mul a b =
     let p = a * b in
     if p < 0 || p / b <> a then max_int else p
 
-let add t l1 l2 v =
-  if v > 0 then begin
-    let k = key l1 l2 in
-    let cur = try Hashtbl.find t.tbl k with Not_found -> 0 in
-    Hashtbl.replace t.tbl k (sat_add cur v)
-  end
+(* A product that saturates stays saturated (max_int, not max_int / den):
+   once a count is "infinite" scaling cannot un-saturate it. *)
+let scale v ~num ~den =
+  let p = sat_mul v num in
+  if p = max_int then max_int else p / den
 
-(* Per-line per-interval frequency vector, sorted ascending, with prefix
-   sums: prefix.(i) = sum of the first i entries. *)
-type vec = { cpus : int array; counts : int array; prefix : int array; total : int }
+(* One probe: both operands are non-negative, so a wrapped sum is negative
+   and is clamped back to [max_int]. *)
+let add_key t k v =
+  if v > 0 && Flat_tab.add t.tbl k v < 0 then Flat_tab.set t.tbl k max_int
+
+let add t l1 l2 v =
+  if not (in_range l1 && in_range l2) then
+    invalid_arg "Code_concurrency.add: line out of range";
+  add_key t (key l1 l2) v
+
+(* Per-line per-interval frequency vector. [cpus]/[by_cpu] are the
+   (cpu, count) entries in cpu order, as [Sample.line_freqs] yields them;
+   [counts] are the same counts sorted ascending, with prefix sums:
+   prefix.(i) = sum of the first i entries. *)
+type vec = {
+  cpus : int array;
+  by_cpu : int array;
+  counts : int array;
+  prefix : int array;
+  total : int;
+}
 
 let vec_of_freqs freqs =
-  let arr = Array.of_list freqs in
-  Array.sort (fun (_, a) (_, b) -> compare a b) arr;
-  let n = Array.length arr in
-  let cpus = Array.map fst arr and counts = Array.map snd arr in
+  let n = List.length freqs in
+  let cpus = Array.make n 0 and by_cpu = Array.make n 0 in
+  List.iteri
+    (fun i (cpu, c) ->
+      cpus.(i) <- cpu;
+      by_cpu.(i) <- c)
+    freqs;
+  let counts = Array.copy by_cpu in
+  Array.sort Int.compare counts;
   let prefix = Array.make (n + 1) 0 in
   for i = 0 to n - 1 do
     prefix.(i + 1) <- sat_add prefix.(i) counts.(i)
   done;
-  { cpus; counts; prefix; total = prefix.(n) }
+  { cpus; by_cpu; counts; prefix; total = prefix.(n) }
 
-(* Σ_n min(x, b_n) via binary search for the first entry > x. Profile-scale
-   frequencies can push [x * (n - lo)] past [max_int]; the kernel saturates
-   instead of wrapping negative. *)
-let sum_min_against b x =
-  let n = Array.length b.counts in
-  let lo = ref 0 and hi = ref n in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if b.counts.(mid) <= x then lo := mid + 1 else hi := mid
-  done;
-  sat_add b.prefix.(!lo) (sat_mul x (n - !lo))
-
-(* Σ_{m,n} min(a_m, b_n) over all index pairs (including same-cpu). *)
+(* Σ_{m,n} min(a_m, b_n) over all index pairs (including same-cpu). For
+   each x of [a] (ascending), the b-entries <= x contribute their prefix
+   sum and the rest contribute x each; the split point only moves right as
+   x grows, so one monotone pointer tracks it.
+   Profile-scale frequencies can push [x * (n - j)] past [max_int]; the
+   kernel saturates instead of wrapping negative. *)
 let sum_min_all a b =
-  Array.fold_left (fun acc x -> sat_add acc (sum_min_against b x)) 0 a.counts
-
-(* Σ over cpus present in both vectors of min(a_cpu, b_cpu). *)
-let sum_min_same_cpu a b =
-  let bmap = Hashtbl.create 16 in
-  Array.iteri (fun i cpu -> Hashtbl.replace bmap cpu b.counts.(i)) b.cpus;
-  let acc = ref 0 in
-  Array.iteri
-    (fun i cpu ->
-      match Hashtbl.find_opt bmap cpu with
-      | Some bc -> acc := sat_add !acc (min a.counts.(i) bc)
-      | None -> ())
-    a.cpus;
+  let n = Array.length b.counts in
+  let j = ref 0 and acc = ref 0 in
+  Array.iter
+    (fun x ->
+      while !j < n && b.counts.(!j) <= x do incr j done;
+      acc := sat_add !acc (sat_add b.prefix.(!j) (sat_mul x (n - !j))))
+    a.counts;
   !acc
 
-let cc_of_interval t tbl =
-  let vecs =
-    List.map (fun (line, fs) -> (line, vec_of_freqs fs)) (Sample.line_freqs tbl)
-  in
-  let rec over_pairs = function
-    | [] -> ()
-    | (l1, v1) :: rest ->
-      (* Diagonal: two different CPUs executing the same line. *)
-      add t l1 l1 (sum_min_all v1 v1 - v1.total);
-      List.iter
-        (fun (l2, v2) ->
-          let v = sum_min_all v1 v2 - sum_min_same_cpu v1 v2 in
-          add t l1 l2 v)
-        rest;
-      over_pairs rest
-  in
-  over_pairs vecs
+(* Σ over cpus present in both vectors of min(a_cpu, b_cpu): a merge-join
+   of the two cpu-ordered arrays. *)
+let sum_min_same_cpu a b =
+  let na = Array.length a.cpus and nb = Array.length b.cpus in
+  let i = ref 0 and j = ref 0 and acc = ref 0 in
+  while !i < na && !j < nb do
+    let ca = a.cpus.(!i) and cb = b.cpus.(!j) in
+    if ca < cb then incr i
+    else if ca > cb then incr j
+    else begin
+      acc := sat_add !acc (min a.by_cpu.(!i) b.by_cpu.(!j));
+      incr i;
+      incr j
+    end
+  done;
+  !acc
 
-let create () = { tbl = Hashtbl.create 256 }
+let iter_interval tbl f =
+  let vecs =
+    Array.of_list
+      (List.map
+         (fun (line, fs) -> (line, vec_of_freqs fs))
+         (Sample.line_freqs tbl))
+  in
+  let n = Array.length vecs in
+  for i = 0 to n - 1 do
+    let l1, v1 = vecs.(i) in
+    let base = l1 lsl Sample.id_bits in
+    (* Diagonal: two different CPUs executing the same line. *)
+    let d = sum_min_all v1 v1 - v1.total in
+    if d > 0 then f (base lor l1) d;
+    for j = i + 1 to n - 1 do
+      let l2, v2 = vecs.(j) in
+      let v = sum_min_all v1 v2 - sum_min_same_cpu v1 v2 in
+      if v > 0 then f (base lor l2) v
+    done
+  done
+
+let cc_of_interval t tbl = iter_interval tbl (add_key t)
+
+let create () = { tbl = Flat_tab.create ~capacity:256 () }
 
 let of_interval tbl =
   let t = create () in
   cc_of_interval t tbl;
   t
 
-let merge_into dst src = Hashtbl.iter (fun (l1, l2) v -> add dst l1 l2 v) src.tbl
+let iter t f = Flat_tab.iter t.tbl f
+let merge_into dst src = iter src (add_key dst)
 
 (* Deterministic chunking: consecutive runs of [n] tables, in order. The
    chunk boundaries depend only on the input list, never on the pool, so
@@ -192,54 +238,67 @@ let compute_store ?pool ?chunk ?(range = default_bin_range) ~interval store =
   in
   compute_tables ?pool ?chunk tables
 
+(* Decreasing CC, ties by key: the packed key orders as the (l1, l2)
+   pair does. *)
 let pairs t =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.tbl []
-  |> List.sort (fun (k1, v1) (k2, v2) ->
-         match compare v2 v1 with 0 -> compare k1 k2 | c -> c)
+  let a = Array.make (Flat_tab.length t.tbl) (0, 0) and n = ref 0 in
+  iter t (fun k v ->
+      a.(!n) <- (k, v);
+      incr n);
+  Array.sort
+    (fun (k1, v1) (k2, v2) ->
+      match Int.compare v2 v1 with 0 -> Int.compare k1 k2 | c -> c)
+    a;
+  Array.fold_right (fun (k, v) acc -> (key_lines k, v) :: acc) a []
 
 let top t ~k =
   if k < 0 then invalid_arg "Code_concurrency.top: k < 0";
   List.filteri (fun i _ -> i < k) (pairs t)
 
 let lines t =
-  Hashtbl.fold (fun (l1, l2) _ acc -> l1 :: l2 :: acc) t.tbl []
-  |> List.sort_uniq compare
+  Flat_tab.fold t.tbl ~init:[] ~f:(fun acc k _ ->
+      let l1, l2 = key_lines k in
+      l1 :: l2 :: acc)
+  |> List.sort_uniq Int.compare
 
 let merge a b =
-  let t = { tbl = Hashtbl.copy a.tbl } in
+  let t = { tbl = Flat_tab.create ~capacity:(Flat_tab.length a.tbl) () } in
+  merge_into t a;
   merge_into t b;
+  t
+
+let of_keyed keys counts =
+  if Array.length keys <> Array.length counts then
+    invalid_arg "Code_concurrency.of_keyed: length mismatch";
+  let t = { tbl = Flat_tab.create ~capacity:(Array.length keys) () } in
+  Array.iteri
+    (fun i k ->
+      if k < 0 || k lsr Sample.id_bits > k land Sample.max_id then
+        invalid_arg "Code_concurrency.of_keyed: not a pair key";
+      add_key t k counts.(i))
+    keys;
   t
 
 (* Fixed-point decay weighting for the sliding-window service: integer
    num/den avoids float summation, so the weighted sum over a window is
-   exactly reproducible whatever order the intervals were merged in. A
-   product that saturates stays saturated (max_int, not max_int / den):
-   once a count is "infinite" scaling cannot un-saturate it. *)
+   exactly reproducible whatever order the intervals were merged in. *)
 let merge_scaled dst src ~num ~den =
   if num < 0 then invalid_arg "Code_concurrency.merge_scaled: num < 0";
   if den <= 0 then invalid_arg "Code_concurrency.merge_scaled: den <= 0";
-  Hashtbl.iter
-    (fun (l1, l2) v ->
-      let p = sat_mul v num in
-      let scaled = if p = max_int then max_int else p / den in
-      add dst l1 l2 scaled)
-    src.tbl
+  iter src (fun k v -> add_key dst k (scale v ~num ~den))
 
 let pp ppf t =
-  Format.fprintf ppf "@[<v>concurrency map (%d pairs):" (Hashtbl.length t.tbl);
+  Format.fprintf ppf "@[<v>concurrency map (%d pairs):" (Flat_tab.length t.tbl);
   List.iter
     (fun ((l1, l2), v) -> Format.fprintf ppf "@,lines %d x %d: %d" l1 l2 v)
     (pairs t);
   Format.fprintf ppf "@]"
 
 module For_tests = struct
-  let sum_min_all a b = sum_min_all (vec_of_freqs a) (vec_of_freqs b)
-
   let sum_min_against b x =
-    let b = vec_of_freqs b in
-    sum_min_against b x
+    sum_min_all (vec_of_freqs [ (0, x) ]) (vec_of_freqs b)
 
+  let sum_min_all a b = sum_min_all (vec_of_freqs a) (vec_of_freqs b)
   let add = add
-  let sat_add = sat_add
   let sat_mul = sat_mul
 end

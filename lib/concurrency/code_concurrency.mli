@@ -8,13 +8,22 @@
     which captures two CPUs running the same line concurrently) mapped to
     their CC value.
 
-    The inner double sum over CPU pairs is computed in
-    O(|cpus| log |cpus|) per line pair using sorted frequency vectors and
-    prefix sums: Σ_{m,n} min(a_m, b_n) − Σ_m min(a_m, b_m). All counting
-    arithmetic saturates at [max_int] instead of wrapping — profile-scale
-    frequencies stay non-negative, and saturating addition of non-negative
-    values remains associative and commutative, which the sharded reduce
-    below depends on.
+    The inner double sum over CPU pairs is computed without allocating
+    per pair: Σ_{m,n} min(a_m, b_n) − Σ_m min(a_m, b_m). Each line's
+    frequency vector carries its counts sorted ascending with prefix sums,
+    so the all-pairs term is one monotone merge of two sorted arrays, and
+    its cpu-ordered (cpu, count) arrays, so the same-cpu term is a
+    merge-join. All counting arithmetic saturates at [max_int] instead of
+    wrapping — profile-scale frequencies stay non-negative, and
+    saturating addition of non-negative values remains associative and
+    commutative, which the sharded reduce below depends on.
+
+    {b Representation.} A map is a {!Slo_util.Flat_tab} keyed by the
+    packed unordered pair [(l1 lsl 31) lor l2] with [l1 <= l2]. Lines are
+    identifiers in [0 .. ]{!Sample.max_id}[ = 2^31 - 1] (the {!Sample}
+    discipline), so the key is a non-negative int, and its integer order
+    is the lexicographic order of [(l1, l2)]. Upserts are one probe and
+    allocate nothing.
 
     {b Scaling.} Intervals are independent, so the map decomposes as a
     merge of per-interval maps: {!compute_tables} splits the interval list
@@ -84,7 +93,8 @@ val compute_store :
     [range <= 0]. *)
 
 val cc : t -> int -> int -> int
-(** [cc t l1 l2] — symmetric; 0 when never concurrent. *)
+(** [cc t l1 l2] — symmetric; 0 when never concurrent or when a line is
+    outside [0 .. Sample.max_id]. *)
 
 val pairs : t -> ((int * int) * int) list
 (** All line pairs with non-zero CC, [(l1 <= l2)], sorted by decreasing
@@ -97,6 +107,21 @@ val top : t -> k:int -> ((int * int) * int) list
 val lines : t -> int list
 (** Lines participating in any pair, sorted. *)
 
+val iter : t -> (int -> int -> unit) -> unit
+(** [iter t f] calls [f key v] for every pair with non-zero CC [v], where
+    [key = (l1 lsl 31) lor l2] and [l1 <= l2]. Unspecified order. *)
+
+val iter_interval : Sample.interval_table -> (int -> int -> unit) -> unit
+(** The interval kernel: [iter_interval tbl f] calls [f key v] for every
+    pair of one interval with non-zero [v = CC_I], in ascending key
+    order, each key once. {!of_interval} is this collected into a map. *)
+
+val of_keyed : int array -> int array -> t
+(** [of_keyed keys counts] is the map holding [counts.(i)] at the pair
+    packed as [keys.(i)] (duplicate keys sum, saturating; counts [<= 0]
+    are ignored). @raise Invalid_argument on a length mismatch or a key
+    that is not a packed pair with [l1 <= l2]. *)
+
 val merge : t -> t -> t
 (** Pointwise (saturating) sum — combining collection runs or shard
     results. Associative and commutative up to {!pairs}. *)
@@ -108,8 +133,16 @@ val merge_scaled : t -> t -> num:int -> den:int -> unit
     [decay^age] as [num/den] with a power-of-two [den], so the weighted
     window sum is exact integer arithmetic, independent of merge order).
     Products are saturating; a saturated product stays [max_int] rather
-    than being divided down. [src] is untouched.
+    than being divided down (see {!scale}). [src] is untouched.
     @raise Invalid_argument if [num < 0] or [den <= 0]. *)
+
+val scale : int -> num:int -> den:int -> int
+(** [scale v ~num ~den] is the per-entry term of {!merge_scaled}:
+    [floor (v * num / den)] for a non-negative [v], or [max_int] when the
+    product saturates. Requires [num >= 0] and [den > 0]. *)
+
+val sat_add : int -> int -> int
+(** Saturating addition of non-negative counts: [min (a + b) max_int]. *)
 
 val pp : Format.formatter -> t -> unit
 
@@ -124,6 +157,8 @@ module For_tests : sig
   (** Σ_n min(x, b_n). *)
 
   val add : t -> int -> int -> int -> unit
-  val sat_add : int -> int -> int
+  (** Saturating upsert of [v > 0] at the pair [(l1, l2)].
+      @raise Invalid_argument if a line is outside [0 .. Sample.max_id]. *)
+
   val sat_mul : int -> int -> int
 end

@@ -34,6 +34,10 @@ type t = { cpu : int; itc : int; line : int }
 val max_id : int
 (** Upper bound (inclusive, [2^31 - 1]) on [cpu] and [line]. *)
 
+val id_bits : int
+(** 31: [max_id = 2^id_bits - 1], so two identifiers pack into one
+    non-negative int as [(a lsl id_bits) lor b]. *)
+
 val floor_div : int -> int -> int
 (** Exact floor division for any int numerator and positive denominator —
     the interval-index function ([floor_div itc interval]), exposed so

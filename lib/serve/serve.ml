@@ -47,8 +47,11 @@ type t = {
   w_lock : Mutex.t;
   window : Window.t;
   mutable version : int;
-  mutable last_cc : Cc.t option;
+  mutable last_cc : Window.vec option;  (* the last published vector *)
   mutable pubs : publication list;  (* newest first *)
+  (* every distinct published (layout, blocks), by structural hash *)
+  layouts :
+    (int, Slo_layout.Layout.t * Slo_layout.Field.t list list) Hashtbl.t;
   mutable dropped_batches : int;
   (* high-water marks already pushed to the monotone obs counters *)
   mutable seen_retired : int;
@@ -68,7 +71,8 @@ let make cfg window version =
   { cfg; q_lock = Mutex.create (); not_empty = Condition.create ();
     not_full = Condition.create (); queue = Queue.create ();
     stopping = false; daemon = None; w_lock = Mutex.create (); window;
-    version; last_cc = None; pubs = []; dropped_batches = 0;
+    version; last_cc = None; pubs = []; layouts = Hashtbl.create 16;
+    dropped_batches = 0;
     seen_retired = 0; seen_late = 0 }
 
 let create cfg =
@@ -137,9 +141,22 @@ let submit_wait t batch =
 (* Processing: window maintenance + drift-triggered re-search.
    Callers hold [w_lock]. *)
 
-let publish t cc ~drift =
+(* A drifting service keeps re-finding the same few layouts, and the
+   history keeps every publication: reuse the first published copy of an
+   equal layout and block list so the history holds each once. *)
+let share_layout t (best : Optimizer.result) =
+  let shape = (best.Optimizer.layout, best.Optimizer.blocks) in
+  let h = Hashtbl.hash_param 256 4096 shape in
+  match List.find_opt (fun s -> s = shape) (Hashtbl.find_all t.layouts h) with
+  | Some (layout, blocks) -> { best with Optimizer.layout; blocks }
+  | None ->
+    Hashtbl.add t.layouts h shape;
+    best
+
+let publish t v ~drift =
   let pub =
     Obs.time "serve.research_s" (fun () ->
+        let cc = Window.cc_of_vec v in
         let flg =
           Pipeline.analyze ~params:t.cfg.params ~cm:cc ~program:t.cfg.program
             ~counts:t.cfg.counts ~samples:[] ~struct_name:t.cfg.struct_name ()
@@ -148,14 +165,14 @@ let publish t cc ~drift =
           Pipeline.search ~params:t.cfg.params ~seed:t.cfg.seed
             ~restarts:t.cfg.restarts ~selector:t.cfg.selector flg
         in
-        { version = t.version + 1; best = pf.Optimizer.best;
+        { version = t.version + 1; best = share_layout t pf.Optimizer.best;
           greedy_score = pf.Optimizer.greedy.Optimizer.score;
           cc_pairs = Cc.pairs cc; pub_drift = drift;
           window_samples = Window.live_samples t.window;
           window_intervals = Window.live_intervals t.window })
   in
   t.version <- pub.version;
-  t.last_cc <- Some cc;
+  t.last_cc <- Some v;
   (* Only the current publication keeps its CC map: the superseded one
      stays in the history without it, so a long-running server holds one
      map rather than one per publication. *)
@@ -169,17 +186,16 @@ let publish t cc ~drift =
   Obs.set_gauge "serve.version" (float_of_int pub.version);
   pub
 
+let drift_since_last t v =
+  Window.drift (Option.value t.last_cc ~default:Window.empty) v
+
 let maybe_publish t =
   if Window.live_samples t.window >= t.cfg.min_samples then begin
-    let cc = Window.weighted_cc t.window in
-    let drift =
-      match t.last_cc with
-      | None -> Window.drift (Cc.create ()) cc
-      | Some prev -> Window.drift prev cc
-    in
+    let v = Window.weighted t.window in
+    let drift = drift_since_last t v in
     Obs.set_gauge "serve.drift" drift;
     if t.pubs = [] || drift > t.cfg.drift_threshold then
-      ignore (publish t cc ~drift)
+      ignore (publish t v ~drift)
   end
 
 let process_batch t batch =
@@ -262,13 +278,8 @@ let research t =
   Fun.protect
     ~finally:(fun () -> Mutex.unlock t.w_lock)
     (fun () ->
-      let cc = Window.weighted_cc t.window in
-      let drift =
-        match t.last_cc with
-        | None -> Window.drift (Cc.create ()) cc
-        | Some prev -> Window.drift prev cc
-      in
-      publish t cc ~drift)
+      let v = Window.weighted t.window in
+      publish t v ~drift:(drift_since_last t v))
 
 (* ------------------------------------------------------------------ *)
 (* Snapshot / restore *)

@@ -4,7 +4,10 @@
     maintains a decay-weighted sliding {!Window} of CC state, and re-runs
     the {!Slo_search.Optimizer} portfolio whenever the weighted CC drifts
     past [drift_threshold] since the last publication — publishing
-    versioned layout suggestions as it goes.
+    versioned layout suggestions as it goes. After every batch the
+    drift is taken between two dense {!Window.vec}s (the fresh weighted
+    vector and the last published one); a CC map is built only for a
+    publication.
 
     {b Threading.} Two locks. The ingest side is a bounded batch queue:
     {!submit} is non-blocking admission control (a full queue {e drops}
@@ -78,7 +81,14 @@ val publications : t -> publication list
     publication is superseded, the history keeps a copy with
     [cc_pairs = []] (version, scores, layout and drift unchanged), so a
     long-running server holds one CC map, not one per publication.
-    {!current} and {!research} results carry the full map. *)
+    {!current} and {!research} results carry the full map.
+
+    Equal layouts are shared: when a publication's [best.layout] and
+    [best.blocks] are structurally equal to an earlier publication's,
+    its [best] reuses that earlier layout and block list (found by
+    structural hash, not by scanning the history). Every field keeps its
+    value; only the physical copies are shared, so the history holds
+    each distinct layout once. *)
 
 val current : t -> publication option
 (** The latest publication. *)

@@ -11,13 +11,28 @@
     survivors. Samples arriving {e below} the watermark are dropped and
     counted ({!late}).
 
-    {b Weighted CC.} {!weighted_cc} merges the per-interval CC maps with
+    {b Weighted CC.} {!weighted} sums the per-interval CC maps with
     fixed-point decay weights [round (1024 · decay^age) / 1024] (age in
-    intervals, newest = 0), using
-    {!Slo_concurrency.Code_concurrency.merge_scaled} — exact integer
-    arithmetic, so the result is independent of merge order. Per-interval
-    CC maps are memoized on the interval's sample total, so a re-search
-    after feeding recomputes only the intervals that actually changed.
+    intervals, newest = 0): each entry adds
+    [floor (v · weight / 1024)] ({!Slo_concurrency.Code_concurrency.scale}),
+    floored per interval and summed saturating — exact integer
+    arithmetic, independent of summation order, and the same value
+    {!Slo_concurrency.Code_concurrency.merge_scaled} gives. The result is
+    a {!vec}: the non-zero pairs as packed keys in ascending order with
+    their weighted counts.
+
+    {b Why a full re-sum.} Every call re-sums all live intervals. An
+    incremental sum (add the new interval, subtract the retired one,
+    rescale under decay) is not exact: each interval's term is floored
+    on its own, so a rescaled sum differs from a fresh one, and once
+    [newest] advances every weight changes anyway. The re-sum is kept
+    cheap instead. Each interval's CC is memoized on the interval's
+    sample total as compact [(pair, count)] arrays, so a call recomputes
+    only the intervals that changed. The pairs are interned to dense ids
+    shared by all memos, so the weighted sum accumulates into an int
+    array. An id no live memo holds is reclaimed, so pair storage stays
+    within a constant factor of the live pairs ({!live_pairs},
+    {!pair_slots}), however many distinct lines stream through.
 
     Not thread-safe: the serve daemon serializes access. *)
 
@@ -63,19 +78,37 @@ val weight : t -> age:int -> int
 (** [round (weight_den · decay^age)]. @raise Invalid_argument if
     [age < 0]. *)
 
-val weighted_cc : t -> Slo_concurrency.Code_concurrency.t
-(** The decay-weighted CC of the live window (empty map when empty). *)
+val live_pairs : t -> int
+(** Distinct pairs held by the memos of live intervals. *)
 
-val drift :
-  Slo_concurrency.Code_concurrency.t ->
-  Slo_concurrency.Code_concurrency.t ->
-  float
-(** Shape drift in [0, 1]: half the L1 distance between the maps
+val pair_slots : t -> int
+(** Pair ids the window has room for: at most twice the peak of
+    {!live_pairs}, since ids of retired pairs are reused. *)
+
+type vec
+(** A decay-weighted CC vector: non-zero pairs in ascending packed-key
+    order ({!Slo_concurrency.Code_concurrency.iter} keys). *)
+
+val empty : vec
+(** The vector with no pairs. *)
+
+val weighted : t -> vec
+(** The decay-weighted CC of the live window ({!empty} when empty). *)
+
+val cc_of_vec : vec -> Slo_concurrency.Code_concurrency.t
+(** The vector as a map: what a publication is searched against. *)
+
+val vec_of_cc : Slo_concurrency.Code_concurrency.t -> vec
+
+val drift : vec -> vec -> float
+(** Shape drift in [0, 1]: half the L1 distance between the vectors
     normalized to unit mass. 0 when the sharing pattern is identical —
     including at a different sample volume, so pure growth never reads
-    as drift — and 1 when the patterns are disjoint (or exactly one map
-    is empty). The serve daemon re-searches when this exceeds its
-    threshold. *)
+    as drift — and 1 when the patterns are disjoint (or exactly one
+    vector is empty). The serve daemon re-searches when this exceeds its
+    threshold. Bit-identical to the same distance over the maps: the
+    masses are float sums in decreasing-count order, the differences are
+    summed in ascending key order. *)
 
 val restore :
   ?decay:float ->

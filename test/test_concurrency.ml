@@ -318,7 +318,7 @@ let naive_sat_sum_min a b =
   List.fold_left
     (fun acc (_, ca) ->
       List.fold_left
-        (fun acc (_, cb) -> CC.For_tests.sat_add acc (min ca cb))
+        (fun acc (_, cb) -> CC.sat_add acc (min ca cb))
         acc b)
     0 a
 
@@ -346,9 +346,9 @@ let prop_sum_min_saturates =
 
 let test_saturation_units () =
   let module F = CC.For_tests in
-  check_int "sat_add caps" max_int (F.sat_add max_int 1);
-  check_int "sat_add caps (sym)" max_int (F.sat_add 1 max_int);
-  check_int "sat_add normal" 7 (F.sat_add 3 4);
+  check_int "sat_add caps" max_int (CC.sat_add max_int 1);
+  check_int "sat_add caps (sym)" max_int (CC.sat_add 1 max_int);
+  check_int "sat_add normal" 7 (CC.sat_add 3 4);
   check_int "sat_mul caps" max_int (F.sat_mul (max_int / 2) 3);
   check_int "sat_mul normal" 12 (F.sat_mul 3 4);
   check_int "sat_mul zero" 0 (F.sat_mul 0 max_int);
@@ -371,7 +371,7 @@ let test_top_validation () =
 (* ------------------------------------------------------------------ *)
 (* Sharded / streaming compute: merge laws and boundary invariance.
    These are the invariants the parallel reduce in compute_tables rests
-   on; the suite also runs under @runtest-par. *)
+   on; the suite also runs under @runtest-cc. *)
 
 let mk_samples triples = List.map (fun (c, t, l) -> s c t l) triples
 
@@ -637,6 +637,50 @@ let prop_binner_matches_hashtbl_reference =
       of_binner = of_reference
       && Sample.fed b = List.length xs)
 
+(* ------------------------------------------------------------------ *)
+(* The flat map and interval kernel against the tuple-keyed oracle *)
+
+(* One interval's table from distinct (cpu, line) entries over few CPUs
+   and lines, so CPUs overlap between lines. Counts come in two bands:
+   small, and near [max_int / 8] — at most eight entries keep the table
+   total in range while the all-pairs sums of min still saturate. *)
+let gen_table =
+  QCheck2.Gen.(
+    map
+      (fun entries ->
+        let b = Sample.binner ~interval:10 in
+        List.iter
+          (fun ((cpu, line), count) -> Sample.feed_n b ~cpu ~itc:0 ~line ~count)
+          (List.sort_uniq (fun (a, _) (b, _) -> compare a b) entries);
+        List.hd (Sample.binned b))
+      (list_size (int_range 1 8)
+         (pair
+            (pair (int_bound 4) (int_bound 5))
+            (frequency
+               [
+                 (3, int_range 1 1000);
+                 (2, int_range ((max_int / 8) - 1000) (max_int / 8));
+               ]))))
+
+let prop_kernel_matches_oracle =
+  QCheck2.Test.make ~name:"of_interval pairs = tuple-keyed oracle" ~count:500
+    gen_table (fun tbl ->
+      CC.pairs (CC.of_interval tbl) = Cc_ref.pairs (Cc_ref.of_interval tbl))
+
+let prop_merge_matches_oracle =
+  QCheck2.Test.make ~name:"merge and merge_scaled = tuple-keyed oracle"
+    ~count:300
+    QCheck2.Gen.(
+      quad gen_table gen_table (int_bound 2048)
+        (oneofl [ 1; 3; 1000; 1024; max_int ]))
+    (fun (t1, t2, num, den) ->
+      let a = CC.of_interval t1 and b = CC.of_interval t2 in
+      let ra = Cc_ref.of_interval t1 and rb = Cc_ref.of_interval t2 in
+      let merged = CC.pairs (CC.merge a b) = Cc_ref.pairs (Cc_ref.merge ra rb) in
+      CC.merge_scaled a b ~num ~den;
+      Cc_ref.merge_scaled ra rb ~num ~den;
+      merged && CC.pairs a = Cc_ref.pairs ra)
+
 let props =
   List.map QCheck_alcotest.to_alcotest
     [ prop_cc_symmetric_nonneg; prop_cc_monotone; prop_bin_shift_invariant ]
@@ -691,6 +735,8 @@ let suites =
           test_saturation_units;
         Alcotest.test_case "top k validation" `Quick test_top_validation;
         QCheck_alcotest.to_alcotest prop_sum_min_saturates;
+        QCheck_alcotest.to_alcotest prop_kernel_matches_oracle;
+        QCheck_alcotest.to_alcotest prop_merge_matches_oracle;
       ] );
     ( "concurrency.shard",
       Alcotest.test_case "pool shard identical" `Quick
