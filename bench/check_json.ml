@@ -1,91 +1,58 @@
-(* Artifact schema check: `check_json FILE KEY[=TYPE]...` parses FILE with
-   the in-tree JSON parser and requires every KEY to resolve as an object
-   member. A KEY may be a dotted path ("metrics.counters"): each segment
-   descends one object level. A KEY may also carry a type constraint:
+(* Artifact check: `check_json FILE [SECTION...]`. FILE is a bench
+   manifest (slo-bench-manifest/1), whose listed artifacts are all
+   checked, or a single artifact (slo-bench/1). Every artifact must carry
+   the header keys with the right shapes (git_rev a non-empty string,
+   jobs an int, ...), including a `gates` object. Every SECTION named on
+   the command line must be among the artifacts, with a non-empty `gates`
+   object whose values are all true. The checks are Artifact's.
 
-     git_rev=nonempty-string   member exists, is a string, and is not ""
-     wall_s=number             member is an Int or Float
-     quick=bool                member is a Bool
-     jobs=int                  member is an Int
-     rows=list                 member is a List
-
-   Run by the @runtest-obs / @runtest-cc aliases against the bench
-   artifacts and the manifest, so `dune runtest` fails if the bench JSON
-   output regresses — including fields that exist but degrade to the wrong
-   shape (e.g. a git_rev that is empty or not a string). *)
+   Exit 0 when everything holds, 1 when a check fails (each failure is
+   printed), 2 on a usage or I/O error. `dune build @gates` runs it on
+   the gated sections' manifest; bench/fixtures holds artifacts it must
+   reject. *)
 
 module Json = Slo_obs.Json
+module Artifact = Slo_bench.Artifact
 
-let lookup_path j path =
-  List.fold_left
-    (fun j seg -> match j with None -> None | Some j -> Json.member j seg)
-    (Some j)
-    (String.split_on_char '.' path)
-
-let type_ok ty (j : Json.t) =
-  match (ty, j) with
-  | "string", Json.Str _ -> true
-  | "nonempty-string", Json.Str s -> s <> ""
-  | "number", (Json.Int _ | Json.Float _) -> true
-  | "int", Json.Int _ -> true
-  | "bool", Json.Bool _ -> true
-  | "list", Json.List _ -> true
-  | "object", Json.Obj _ -> true
-  | _ -> false
-
-let known_type = function
-  | "string" | "nonempty-string" | "number" | "int" | "bool" | "list"
-  | "object" ->
-    true
-  | _ -> false
+let load path =
+  match In_channel.with_open_bin path In_channel.input_all with
+  | exception Sys_error msg ->
+    Printf.eprintf "check_json: %s\n" msg;
+    exit 2
+  | s -> (
+    match Json.of_string s with
+    | Ok j -> j
+    | Error msg ->
+      Printf.eprintf "check_json: %s: invalid JSON: %s\n" path msg;
+      exit 1)
 
 let () =
-  if Array.length Sys.argv < 2 then begin
-    prerr_endline "usage: check_json FILE [KEY[=TYPE] ...]";
+  match List.tl (Array.to_list Sys.argv) with
+  | [] ->
+    prerr_endline "usage: check_json FILE [SECTION...]";
     exit 2
-  end;
-  let path = Sys.argv.(1) in
-  let contents =
-    try
-      let ic = open_in_bin path in
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    with Sys_error msg ->
-      Printf.eprintf "check_json: %s\n" msg;
+  | file :: gated ->
+    let j = load file in
+    let manifest_failures, artifacts =
+      match Json.member j "schema" with
+      | Some (Json.Str s) when s = Artifact.manifest_schema ->
+        let listed =
+          match Json.member j "artifacts" with
+          | Some (Json.List l) ->
+            (* artifacts are written beside the manifest *)
+            let beside p = Filename.(concat (dirname file) (basename p)) in
+            List.filter_map
+              (function Json.Str p -> Some (p, load (beside p)) | _ -> None)
+              l
+          | _ -> []
+        in
+        (List.map (fun m -> file ^ ": " ^ m) (Artifact.check_manifest j), listed)
+      | _ -> ([], [ (file, j) ])
+    in
+    match manifest_failures @ Artifact.check_all ~artifacts ~gated with
+    | [] ->
+      Printf.printf "check_json: %s: ok (%d artifacts, %d gated)\n" file
+        (List.length artifacts) (List.length gated)
+    | fs ->
+      List.iter (Printf.eprintf "check_json: %s\n") fs;
       exit 1
-  in
-  match Json.of_string contents with
-  | Error msg ->
-    Printf.eprintf "check_json: %s: invalid JSON: %s\n" path msg;
-    exit 1
-  | Ok j ->
-    let bad = ref [] in
-    for i = Array.length Sys.argv - 1 downto 2 do
-      let arg = Sys.argv.(i) in
-      let key, ty =
-        match String.index_opt arg '=' with
-        | Some eq ->
-          ( String.sub arg 0 eq,
-            Some (String.sub arg (eq + 1) (String.length arg - eq - 1)) )
-        | None -> (arg, None)
-      in
-      (match ty with
-      | Some t when not (known_type t) ->
-        Printf.eprintf "check_json: unknown type constraint %S in %S\n" t arg;
-        exit 2
-      | _ -> ());
-      match (lookup_path j key, ty) with
-      | None, _ -> bad := (arg, "missing") :: !bad
-      | Some _, None -> ()
-      | Some v, Some t ->
-        if not (type_ok t v) then bad := (arg, "wrong type/value") :: !bad
-    done;
-    if !bad <> [] then begin
-      Printf.eprintf "check_json: %s: failed keys: %s\n" path
-        (String.concat ", "
-           (List.map (fun (k, why) -> Printf.sprintf "%s (%s)" k why) !bad));
-      exit 1
-    end;
-    Printf.printf "check_json: %s: ok (%d keys)\n" path
-      (Array.length Sys.argv - 2)

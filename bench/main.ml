@@ -1,7 +1,7 @@
 (* Benchmark harness: regenerates every figure of the paper's evaluation
    (Figures 8, 9, 10), the §4.3 CC-stability claim and the §5.1 machine
    characterization, plus ablations over the design choices DESIGN.md calls
-   out, and Bechamel microbenchmarks of the tool's own kernels.
+   out and the scale/soundness sections of the later subsystems.
 
    Usage:
      dune exec bench/main.exe              # everything (a few minutes)
@@ -12,8 +12,13 @@
 
    --jobs N (or SLO_JOBS=N; default Domain.recommended_domain_count) fans
    independent simulator runs and per-struct analyses across a domain
-   pool. Results are byte-identical for every N — the `smoke` section and
-   test/test_exec.ml verify exactly that.
+   pool. Results are byte-identical for every N; test/test_exec.ml
+   verifies exactly that.
+
+   Every section returns its data plus a list of named gates. The driver
+   writes both into BENCH_<section>.json and, after writing, exits 1
+   naming any gate that is false. `dune build @gates` runs the gated
+   sections (bench/dune).
 
    Absolute numbers are simulator cycles, not HP hardware; the shapes (who
    wins, by what factor, where effects vanish) are the reproduction target.
@@ -28,19 +33,23 @@ module Layout = Slo_layout.Layout
 module Field = Slo_layout.Field
 module Cluster = Slo_core.Cluster
 module Pipeline = Slo_core.Pipeline
-module Code_concurrency = Slo_concurrency.Code_concurrency
 module Sample = Slo_concurrency.Sample
-module Sample_store = Slo_concurrency.Sample_store
-module Parser = Slo_ir.Parser
-module Typecheck = Slo_ir.Typecheck
 module Stats = Slo_util.Stats
 module Pool = Slo_exec.Pool
 module Obs = Slo_obs.Obs
 module Json = Slo_obs.Json
+module Artifact = Slo_bench.Artifact
 
 let quick = ref false
 let jobs = ref 0 (* 0 = SLO_JOBS / Domain.recommended_domain_count *)
 let json_path = ref None (* --json PATH: manifest path; artifacts go next to it *)
+
+(* What a section hands the driver: its artifact data and its named
+   gates. A gate is a predicate the section's result must satisfy; an
+   ungated section has none. *)
+type result = { data : Json.t; gates : (string * bool) list }
+
+let ungated f () = { data = f (); gates = [] }
 
 let runs () = if !quick then 3 else 10
 let big_cpus () = if !quick then 32 else 128
@@ -49,96 +58,9 @@ let effective_jobs () = if !jobs >= 1 then !jobs else Pool.default_jobs ()
 
 (* ------------------------------------------------------------------ *)
 (* JSON bench artifacts (--json PATH). Each section writes
-   BENCH_<section>.json beside PATH with its data rows plus a metrics
-   snapshot; PATH itself gets a manifest listing what was written.
-   Artifacts exist to be diffed across commits — see EXPERIMENTS.md. *)
-
-let read_file path =
-  try
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> Some (really_input_string ic (in_channel_length ic)))
-  with Sys_error _ | End_of_file -> None
-
-(* Resolve HEAD without invoking git, so the bench works where git is
-   absent (sandboxed dune actions, stripped containers) and costs no
-   subprocess. HEAD may be a detached hex id or a symref; the ref may be
-   loose or packed (`git gc`/`git pack-refs`); `.git` itself may be a
-   one-line `gitdir:` redirect file (worktrees/submodules), whose refs
-   live in the commondir. Anything unresolvable — including HEAD contents
-   that are not a hex id — degrades to the documented "unknown" sentinel:
-   git_rev never raises and never returns a string the JSON writer can't
-   emit verbatim, dirty tree or no tree at all. The schema check pins this
-   (git_rev=nonempty-string in bench/dune). SLO_GIT_REV overrides. *)
-let is_hex_id s =
-  let n = String.length s in
-  n >= 4 && n <= 64
-  && String.for_all
-       (function '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true | _ -> false)
-       s
-
-let strip_prefix ~prefix s =
-  let np = String.length prefix in
-  if String.length s >= np && String.sub s 0 np = prefix then
-    Some (String.sub s np (String.length s - np))
-  else None
-
-let git_dirs () =
-  (* The directory holding HEAD, plus the one holding refs/packed-refs
-     (different in a linked worktree, where `commondir` points back at the
-     main repository's .git). *)
-  let gitdir =
-    match read_file ".git" with
-    | Some s when strip_prefix ~prefix:"gitdir: " (String.trim s) <> None ->
-      Option.get (strip_prefix ~prefix:"gitdir: " (String.trim s))
-    | Some _ | None -> ".git"
-  in
-  let common =
-    match read_file (Filename.concat gitdir "commondir") with
-    | Some s when String.trim s <> "" ->
-      let c = String.trim s in
-      if Filename.is_relative c then Filename.concat gitdir c else c
-    | Some _ | None -> gitdir
-  in
-  (gitdir, common)
-
-let packed_ref dir ref_name =
-  match read_file (Filename.concat dir "packed-refs") with
-  | None -> None
-  | Some s ->
-    List.find_map
-      (fun line ->
-        let line = String.trim line in
-        if line = "" || line.[0] = '#' || line.[0] = '^' then None
-        else
-          match String.index_opt line ' ' with
-          | Some sp
-            when String.sub line (sp + 1) (String.length line - sp - 1)
-                 = ref_name ->
-            let id = String.sub line 0 sp in
-            if is_hex_id id then Some id else None
-          | Some _ | None -> None)
-      (String.split_on_char '\n' s)
-
-let git_rev () =
-  match Sys.getenv_opt "SLO_GIT_REV" with
-  | Some r when r <> "" -> r
-  | _ -> (
-    let gitdir, common = git_dirs () in
-    let resolved =
-      match read_file (Filename.concat gitdir "HEAD") with
-      | None -> None
-      | Some s -> (
-        let s = String.trim s in
-        match strip_prefix ~prefix:"ref: " s with
-        | None -> if is_hex_id s then Some s else None
-        | Some ref_name -> (
-          match read_file (Filename.concat common ref_name) with
-          | Some c when is_hex_id (String.trim c) -> Some (String.trim c)
-          | Some _ | None -> packed_ref common ref_name))
-    in
-    match resolved with Some id -> id | None -> "unknown")
+   BENCH_<section>.json beside PATH with its data, gates and a metrics
+   snapshot; PATH itself gets a manifest listing what was written. The
+   format, and the checks check_json applies to it, are in artifact.mli. *)
 
 let artifacts = ref [] (* (section, path), reverse run order *)
 
@@ -162,7 +84,7 @@ let write_json path j =
     ~finally:(fun () -> close_out_noerr oc)
     (fun () -> output_string oc (Json.pretty j))
 
-let write_artifact ~section:name ~wall data =
+let write_artifact ~section:name ~wall { data; gates } =
   match !json_path with
   | None -> ()
   | Some manifest ->
@@ -170,50 +92,30 @@ let write_artifact ~section:name ~wall data =
       Filename.concat (Filename.dirname manifest) ("BENCH_" ^ name ^ ".json")
     in
     write_json path
-      (Json.Obj
-         [
-           ("schema", Json.Str "slo-bench/1");
-           ("section", Json.Str name);
-           ("git_rev", Json.Str (git_rev ()));
-           ("jobs", Json.Int (effective_jobs ()));
-           ("quick", Json.Bool !quick);
-           ("wall_s", Json.Float wall);
-           ("data", data);
-           ("metrics", Obs.to_json ());
-           ("pool", pool_json ());
-         ]);
+      (Artifact.make ~section:name ~git_rev:(Artifact.git_rev ())
+         ~jobs:(effective_jobs ()) ~quick:!quick ~wall_s:wall ~data
+         ~metrics:(Obs.to_json ()) ~pool:(pool_json ()) ~gates);
     artifacts := (name, path) :: !artifacts
 
 let write_manifest () =
   match !json_path with
   | None -> ()
   | Some manifest ->
-    let arts = List.rev !artifacts in
     write_json manifest
-      (Json.Obj
-         [
-           ("schema", Json.Str "slo-bench-manifest/1");
-           ("git_rev", Json.Str (git_rev ()));
-           ("jobs", Json.Int (effective_jobs ()));
-           ("quick", Json.Bool !quick);
-           ("sections", Json.List (List.map (fun (n, _) -> Json.Str n) arts));
-           ("artifacts", Json.List (List.map (fun (_, p) -> Json.Str p) arts));
-         ])
+      (Artifact.manifest ~git_rev:(Artifact.git_rev ()) ~jobs:(effective_jobs ())
+         ~quick:!quick (List.rev !artifacts))
 
 (* One pool for the whole bench run, created on first use; [None] when
    running with a single job so the serial code paths stay exercised. *)
-let pool_memo = ref None
+let pool_lazy =
+  lazy
+    (let n = effective_jobs () in
+     let p = if n <= 1 then None else Some (Pool.create ~domains:n) in
+     (* join the workers on any exit path, including a failed gate's exit *)
+     Option.iter (fun p -> at_exit (fun () -> Pool.shutdown p)) p;
+     p)
 
-let pool () =
-  match !pool_memo with
-  | Some p -> p
-  | None ->
-    let n = effective_jobs () in
-    let p = if n <= 1 then None else Some (Pool.create ~domains:n) in
-    (* join the workers on any exit path, including `exit 1` *)
-    (match p with Some p -> at_exit (fun () -> Pool.shutdown p) | None -> ());
-    pool_memo := Some p;
-    p
+let pool () = Lazy.force pool_lazy
 
 let section title =
   Printf.printf "\n==============================================================\n";
@@ -226,15 +128,8 @@ let bar value =
   let n = min n 40 in
   (if value < 0.0 then "-" else "+") ^ String.make n '#'
 
-let layouts_memo = ref None
-
-let layouts () =
-  match !layouts_memo with
-  | Some l -> l
-  | None ->
-    let l = Exp.analyze_all ?pool:(pool ()) () in
-    layouts_memo := Some l;
-    l
+let layouts_lazy = lazy (Exp.analyze_all ?pool:(pool ()) ())
+let layouts () = Lazy.force layouts_lazy
 
 let print_measurements title rows =
   Printf.printf "%-8s %12s %12s %12s\n" "struct" "automatic" "hotness"
@@ -269,15 +164,10 @@ let measurements_json ~cpus rows =
              rows) );
     ]
 
-let fig8_memo = ref None
+let fig8_lazy =
+  lazy (Exp.fig8 ~runs:(runs ()) ~cpus:(big_cpus ()) ?pool:(pool ()) (layouts ()))
 
-let fig8_rows () =
-  match !fig8_memo with
-  | Some r -> r
-  | None ->
-    let r = Exp.fig8 ~runs:(runs ()) ~cpus:(big_cpus ()) ?pool:(pool ()) (layouts ()) in
-    fig8_memo := Some r;
-    r
+let fig8_rows () = Lazy.force fig8_lazy
 
 let run_fig8 () =
   section
@@ -629,446 +519,10 @@ let run_ablation_protocol () =
   Json.Null
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel microbenchmarks of the tool's own kernels. *)
-
-let run_micro () =
-  section "Microbenchmarks (Bechamel): analysis and simulation kernels";
-  let open Bechamel in
-  let counts = Collect.profile () in
-  let samples = Collect.samples () in
-  let params = Collect.calibrated_params in
-  let flg_a = Collect.flg ~params ~counts ~samples ~struct_name:"A" () in
-  let tests =
-    [
-      Test.make ~name:"parse+typecheck kernel.mc"
-        (Staged.stage (fun () ->
-             ignore
-               (Typecheck.check
-                  (Parser.parse_program ~file:"kernel.mc" Kernel.source))));
-      Test.make ~name:"profile (PBO interpreter)"
-        (Staged.stage (fun () -> ignore (Collect.profile ~iters:8 ())));
-      Test.make ~name:"code concurrency (full trace)"
-        (Staged.stage (fun () ->
-             ignore
-               (Code_concurrency.compute ~interval:params.Pipeline.cc_interval
-                  samples)));
-      Test.make ~name:"greedy clustering (struct A)"
-        (Staged.stage (fun () -> ignore (Cluster.run flg_a ~line_size:128)));
-      Test.make ~name:"FLG build (struct A)"
-        (Staged.stage (fun () ->
-             ignore (Collect.flg ~params ~counts ~samples ~struct_name:"A" ())));
-      Test.make ~name:"sdet run (8-cpu, 6 reps)"
-        (Staged.stage (fun () ->
-             let cfg =
-               {
-                 (Sdet.default_config (Topology.superdome ~cpus:8 ())) with
-                 Sdet.reps = 6;
-               }
-             in
-             ignore (Sdet.run_once cfg)));
-    ]
-  in
-  let benchmark test =
-    let instance = Toolkit.Instance.monotonic_clock in
-    let cfg =
-      Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:(Some 1000) ()
-    in
-    let raw =
-      Benchmark.all cfg [ instance ] (Test.make_grouped ~name:"g" [ test ])
-    in
-    let ols =
-      Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-    in
-    let results = Analyze.all ols instance raw in
-    Hashtbl.fold
-      (fun name ols acc ->
-        let est =
-          match Analyze.OLS.estimates ols with
-          | Some [ est ] ->
-            Printf.printf "%-40s %14.0f ns/run\n%!" name est;
-            Json.Float est
-          | Some _ | None ->
-            Printf.printf "%-40s (no estimate)\n%!" name;
-            Json.Null
-        in
-        Json.Obj [ ("name", Json.Str name); ("ns_per_run", est) ] :: acc)
-      results []
-  in
-  Json.Obj [ ("rows", Json.List (List.concat_map benchmark tests)) ]
-
-(* ------------------------------------------------------------------ *)
-(* Differential smoke check: the parallel pipeline must be byte-identical
-   to the serial one. Runs on every `dune runtest` via the runtest-cc
-   alias; exits non-zero on any divergence. *)
-
-let run_smoke () =
-  section "Smoke: parallel pipeline = serial pipeline (differential)";
-  let domains = max 2 (effective_jobs ()) in
-  let checks = ref [] in
-  let check name ok =
-    Printf.printf "  %-44s %s\n%!" name (if ok then "identical" else "MISMATCH");
-    checks := (name, ok) :: !checks;
-    ok
-  in
-  let results =
-    Pool.with_pool ~domains (fun p ->
-        let layout_str l = Format.asprintf "%a" Layout.pp l in
-        let serial = Exp.analyze_all () in
-        let par = Exp.analyze_all ~pool:p () in
-        let layouts_ok =
-          List.for_all2
-            (fun (a : Exp.layouts) (b : Exp.layouts) ->
-              a.Exp.struct_name = b.Exp.struct_name
-              && layout_str a.Exp.automatic = layout_str b.Exp.automatic
-              && layout_str a.Exp.hotness = layout_str b.Exp.hotness
-              && layout_str a.Exp.incremental = layout_str b.Exp.incremental)
-            serial par
-        in
-        let cfg =
-          { (Sdet.default_config (Topology.superdome ~cpus:8 ())) with
-            Sdet.reps = 6 }
-        in
-        let t_serial = Sdet.throughputs cfg ~runs:4 in
-        let t_par = Sdet.throughputs ~pool:p cfg ~runs:4 in
-        let flgs_serial =
-          Pipeline.analyze_all ~params:Collect.calibrated_params
-            ~program:(Kernel.program ()) ~counts:(Collect.profile ())
-            ~samples:[] ~struct_names:Kernel.struct_names ()
-        in
-        let flgs_par =
-          Pipeline.analyze_all ~params:Collect.calibrated_params ~pool:p
-            ~program:(Kernel.program ()) ~counts:(Collect.profile ())
-            ~samples:[] ~struct_names:Kernel.struct_names ()
-        in
-        let report_str (_, flg) =
-          Slo_core.Report.render (Pipeline.report flg)
-        in
-        let ok1 =
-          check
-            (Printf.sprintf "analyze_all layouts (%d domains)" domains)
-            layouts_ok
-        in
-        let ok2 = check "sdet cycle counts / throughputs" (t_serial = t_par) in
-        let ok3 =
-          check "FLG reports byte-identical"
-            (List.map report_str flgs_serial = List.map report_str flgs_par)
-        in
-        [ ok1; ok2; ok3 ])
-  in
-  if List.exists not results then begin
-    Printf.eprintf "smoke: parallel/serial divergence detected\n";
-    exit 1
-  end;
-  Json.Obj
-    [
-      ("domains", Json.Int domains);
-      ( "checks",
-        Json.List
-          (List.rev_map
-             (fun (n, ok) ->
-               Json.Obj [ ("name", Json.Str n); ("ok", Json.Bool ok) ])
-             !checks) );
-    ]
-
-(* ------------------------------------------------------------------ *)
-(* Streaming CC ingestion at scale: persist one collection run, stream it
-   back through Persist.iter_samples_file -> Code_concurrency.compute_stream
-   at several pool sizes, and check every streamed map against the
-   in-memory compute over the same samples. Exits non-zero on divergence,
-   so the runtest-obs wiring doubles as a determinism check. *)
-
-let run_cc_scale () =
-  section "cc_scale: streaming, sharded CodeConcurrency ingestion";
-  let module Persist = Slo_persist.Persist in
-  let samples = Collect.samples () in
-  let n_samples = List.length samples in
-  let interval = Collect.calibrated_params.Pipeline.cc_interval in
-  let reference = Code_concurrency.compute ~interval samples in
-  let path = Filename.temp_file "slo_cc_scale" ".samples" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-  @@ fun () ->
-  Persist.save_samples ~path samples;
-  let job_list = List.sort_uniq compare [ 1; 2; max 1 (effective_jobs ()) ] in
-  Printf.printf "%d samples, interval %d, streamed from disk\n" n_samples
-    interval;
-  Printf.printf "%-6s %12s %14s %10s\n" "jobs" "wall (s)" "samples/s"
-    "identical";
-  let rows =
-    List.map
-      (fun jobs ->
-        let stream pool =
-          let t0 = Obs.now () in
-          let cm =
-            Code_concurrency.compute_stream ?pool ~interval (fun f ->
-                Persist.iter_samples_file ~path f)
-          in
-          (cm, Obs.now () -. t0)
-        in
-        let cm, wall =
-          if jobs <= 1 then stream None
-          else Pool.with_pool ~domains:jobs (fun p -> stream (Some p))
-        in
-        let identical =
-          Code_concurrency.pairs cm = Code_concurrency.pairs reference
-        in
-        let rate = if wall > 0.0 then float_of_int n_samples /. wall else 0.0 in
-        Printf.printf "%-6d %12.4f %14.0f %10s\n%!" jobs wall rate
-          (if identical then "yes" else "NO");
-        if not identical then begin
-          Printf.eprintf
-            "cc_scale: streamed map diverges from in-memory compute at \
-             jobs=%d\n"
-            jobs;
-          exit 1
-        end;
-        Json.Obj
-          [
-            ("jobs", Json.Int jobs);
-            ("wall_s", Json.Float wall);
-            ("samples_per_s", Json.Float rate);
-            ("identical", Json.Bool identical);
-          ])
-      job_list
-  in
-  let peak =
-    match Obs.gauge "cc.table.peak_entries" with
-    | Some g -> int_of_float g
-    | None -> 0
-  in
-  Printf.printf "peak interval-table entries: %d\n%!" peak;
-  (* --- Columnar ingestion at scale: generate a store far bigger than any
-     collection run, persist it in both formats, and race the two
-     ingestion paths file -> in-memory store. The text baseline parses
-     every line (store_of_samples_file); the binary path is
-     load_samples_bin — mmap plus one validation scan — so the ratio
-     isolates the format itself (everything downstream of the store is
-     shared). Then the full columnar CC (compute_store) at pool sizes
-     1/2/4 must reproduce the in-memory list path's map exactly — any
-     divergence exits non-zero, so the runtest-cc wiring doubles as the
-     columnar-determinism check. *)
-  let n_col = if !quick then 200_000 else 10_000_000 in
-  let col_cpus = 16 and col_lines = 24 in
-  let col_interval = 32_768 in
-  let builder = Sample_store.builder ~capacity:n_col () in
-  let state = ref 0x243F6A8885A308D3 in
-  let next_itc = ref 0 in
-  for _ = 1 to n_col do
-    (* LCG with a monotone itc: deterministic, allocation-free, and
-       time-ordered like a real PMU stream. *)
-    state := (!state * 2685821657736338717) + 1442695040888963407;
-    let bits = !state lsr 11 in
-    next_itc := !next_itc + 1 + (bits land 7);
-    Sample_store.append builder ~cpu:(bits mod col_cpus) ~itc:!next_itc
-      ~line:(100 + ((bits lsr 17) mod col_lines))
-  done;
-  let gen_store = Sample_store.build builder in
-  let bin_path = Filename.temp_file "slo_cc_scale" ".samples.bin" in
-  let txt_path = Filename.temp_file "slo_cc_scale" ".samples" in
-  Fun.protect
-    ~finally:(fun () ->
-      List.iter
-        (fun p -> try Sys.remove p with Sys_error _ -> ())
-        [ bin_path; txt_path ])
-  @@ fun () ->
-  Persist.save_samples_bin ~path:bin_path gen_store;
-  Persist.save_store_text ~path:txt_path gen_store;
-  let file_bytes p =
-    let ic = open_in_bin p in
-    Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () ->
-        in_channel_length ic)
-  in
-  let bin_bytes = file_bytes bin_path and txt_bytes = file_bytes txt_path in
-  Printf.printf
-    "\ncolumnar: %d generated samples, interval %d (%d cpus, %d lines)\n"
-    n_col col_interval col_cpus col_lines;
-  Printf.printf "  binary store %d bytes, text %d bytes\n%!" bin_bytes
-    txt_bytes;
-  (* Text ingestion baseline: parse every line into a columnar store. *)
-  let t0 = Obs.now () in
-  let tstore = Persist.store_of_samples_file ~path:txt_path in
-  let text_s = Obs.now () -. t0 in
-  (* Binary ingestion: mmap + the single validation scan. *)
-  let t0 = Obs.now () in
-  let mstore = Persist.load_samples_bin ~path:bin_path in
-  let bin_s = Obs.now () -. t0 in
-  (* Both paths must yield the same samples (bigarray compare is the
-     custom C one, so this is a memcmp-grade check, not a boxed walk). *)
-  let stores_equal =
-    Sample_store.length tstore = Sample_store.length mstore
-    && Sample_store.columns tstore = Sample_store.columns mstore
-  in
-  if not stores_equal then begin
-    Printf.eprintf
-      "cc_scale: text-parsed store diverges from binary-loaded store\n";
-    exit 1
-  end;
-  let rate n s = if s > 0.0 then float_of_int n /. s else 0.0 in
-  Printf.printf "  %-8s %12s %14s %14s\n" "path" "wall (s)" "samples/s"
-    "bytes/s";
-  Printf.printf "  %-8s %12.4f %14.0f %14.0f\n" "text" text_s
-    (rate n_col text_s) (rate txt_bytes text_s);
-  Printf.printf "  %-8s %12.4f %14.0f %14.0f\n%!" "binary" bin_s
-    (rate n_col bin_s) (rate bin_bytes bin_s);
-  let col_speedup =
-    if rate n_col text_s > 0.0 then rate n_col bin_s /. rate n_col text_s
-    else 0.0
-  in
-  Printf.printf "  binary vs text ingestion: %.2fx samples/s%s\n%!"
-    col_speedup
-    (if col_speedup < 3.0 then "  (below the 3x target)" else "");
-  (* Columnar CC vs the in-memory list path, at pool sizes 1/2/4. *)
-  let col_reference =
-    Code_concurrency.compute ~interval:col_interval
-      (Sample_store.to_samples mstore)
-  in
-  let col_ref_pairs = Code_concurrency.pairs col_reference in
-  let col_rows =
-    List.map
-      (fun jobs ->
-        let compute pool =
-          let t0 = Obs.now () in
-          let cm =
-            Code_concurrency.compute_store ?pool ~interval:col_interval mstore
-          in
-          (cm, Obs.now () -. t0)
-        in
-        let cm, wall =
-          if jobs <= 1 then compute None
-          else Pool.with_pool ~domains:jobs (fun p -> compute (Some p))
-        in
-        let identical = Code_concurrency.pairs cm = col_ref_pairs in
-        Printf.printf "  pool %-3d %12.4f %14.0f %14.0f   %s\n%!" jobs wall
-          (rate n_col wall) (rate bin_bytes wall)
-          (if identical then "identical" else "MISMATCH");
-        if not identical then begin
-          Printf.eprintf
-            "cc_scale: columnar CC diverges from the list path at pool=%d\n"
-            jobs;
-          exit 1
-        end;
-        Json.Obj
-          [
-            ("jobs", Json.Int jobs);
-            ("wall_s", Json.Float wall);
-            ("samples_per_s", Json.Float (rate n_col wall));
-            ("bytes_per_s", Json.Float (rate bin_bytes wall));
-            ("identical", Json.Bool identical);
-          ])
-      [ 1; 2; 4 ]
-  in
-  (* --- Binner ingestion hot path: the flat open-addressing histogram
-     (Flat_tab) vs the (int, int ref) Hashtbl-per-interval feeder it
-     replaced, inlined here as the baseline. Same store, same packed
-     keys; the race isolates the table, and the resulting histograms
-     must be identical — any divergence exits non-zero. *)
-  let module Flat_tab = Slo_util.Flat_tab in
-  let t0 = Obs.now () in
-  let flat_binner = Sample.binner ~interval:col_interval in
-  Sample_store.iter mstore (fun s -> Sample.feed flat_binner s);
-  let flat_s = Obs.now () -. t0 in
-  let t0 = Obs.now () in
-  let boxed : (int, (int, int ref) Hashtbl.t) Hashtbl.t =
-    Hashtbl.create 64
-  in
-  for i = 0 to Sample_store.length mstore - 1 do
-    let idx = Sample.floor_div (Sample_store.itc mstore i) col_interval in
-    let tbl =
-      match Hashtbl.find_opt boxed idx with
-      | Some t -> t
-      | None ->
-        let t = Hashtbl.create 256 in
-        Hashtbl.add boxed idx t;
-        t
-    in
-    let key =
-      (Sample_store.cpu mstore i lsl 31) lor Sample_store.line mstore i
-    in
-    match Hashtbl.find_opt tbl key with
-    | Some r -> incr r
-    | None -> Hashtbl.add tbl key (ref 1)
-  done;
-  let boxed_s = Obs.now () -. t0 in
-  let flat_rows =
-    List.concat_map
-      (fun (idx, tbl) ->
-        List.concat_map
-          (fun (line, fs) ->
-            List.map (fun (cpu, n) -> (idx, (cpu lsl 31) lor line, n)) fs)
-          (Sample.line_freqs tbl))
-      (Sample.binned_idx flat_binner)
-    |> List.sort compare
-  in
-  let boxed_rows =
-    Hashtbl.fold
-      (fun idx tbl acc ->
-        Hashtbl.fold (fun key r acc -> (idx, key, !r) :: acc) tbl acc)
-      boxed []
-    |> List.sort compare
-  in
-  let binner_identical = flat_rows = boxed_rows in
-  let binner_speedup = if flat_s > 0.0 then boxed_s /. flat_s else 0.0 in
-  Printf.printf "\nbinner ingestion (store -> interval histograms):\n";
-  Printf.printf "  %-8s %12s %14s\n" "table" "wall (s)" "samples/s";
-  Printf.printf "  %-8s %12.4f %14.0f\n" "hashtbl" boxed_s
-    (rate n_col boxed_s);
-  Printf.printf "  %-8s %12.4f %14.0f\n" "flat" flat_s (rate n_col flat_s);
-  Printf.printf "  flat vs hashtbl: %.2fx samples/s, histograms %s\n%!"
-    binner_speedup
-    (if binner_identical then "identical" else "MISMATCH");
-  if not binner_identical then begin
-    Printf.eprintf
-      "cc_scale: flat binner diverges from the Hashtbl reference feeder\n";
-    exit 1
-  end;
-  Json.Obj
-    [
-      ("n_samples", Json.Int n_samples);
-      ("interval", Json.Int interval);
-      ("peak_table_entries", Json.Int peak);
-      ("rows", Json.List rows);
-      ( "binner",
-        Json.Obj
-          [
-            ("n_samples", Json.Int n_col);
-            ("hashtbl_samples_per_s", Json.Float (rate n_col boxed_s));
-            ("flat_samples_per_s", Json.Float (rate n_col flat_s));
-            ("flat_vs_hashtbl_x", Json.Float binner_speedup);
-            ("identical", Json.Bool binner_identical);
-          ] );
-      ( "columnar",
-        Json.Obj
-          [
-            ("n_samples", Json.Int n_col);
-            ("interval", Json.Int col_interval);
-            ("bin_bytes", Json.Int bin_bytes);
-            ("text_bytes", Json.Int txt_bytes);
-            ("stores_equal", Json.Bool stores_equal);
-            ( "text",
-              Json.Obj
-                [
-                  ("wall_s", Json.Float text_s);
-                  ("samples_per_s", Json.Float (rate n_col text_s));
-                  ("bytes_per_s", Json.Float (rate txt_bytes text_s));
-                ] );
-            ( "binary",
-              Json.Obj
-                [
-                  ("wall_s", Json.Float bin_s);
-                  ("samples_per_s", Json.Float (rate n_col bin_s));
-                  ("bytes_per_s", Json.Float (rate bin_bytes bin_s));
-                ] );
-            ("binary_vs_text_x", Json.Float col_speedup);
-            ("rows", Json.List col_rows);
-          ] );
-    ]
-
-(* ------------------------------------------------------------------ *)
 (* Metaheuristic layout search (lib/search) over the kernel corpus: run
-   the full portfolio per struct, require best >= greedy on the shared
-   objective (exit non-zero otherwise — the runtest-obs wiring doubles as
-   the optimizer-soundness check), then validate any strict objective win
-   on the simulator by re-running SDET with the two layouts. *)
+   the full portfolio per struct and gate on best >= greedy on the shared
+   objective, on a strict win on the greedy-trap workload, and on the
+   simulator confirming a win when SDET re-runs with the two layouts. *)
 
 let run_layout_search () =
   section "layout_search: metaheuristic portfolio vs greedy clustering";
@@ -1083,25 +537,22 @@ let run_layout_search () =
     restarts seed;
   Printf.printf "%-8s %12s %12s %10s  %s\n" "struct" "greedy" "best" "delta"
     "winner";
-  let per_struct =
+  let search ?params name flg =
+    let p =
+      Pipeline.search ?params ?pool:(pool ()) ~seed ~restarts
+        ~selector:Optimizer.Portfolio flg
+    in
+    let g = p.Optimizer.greedy.Optimizer.score in
+    let b = p.Optimizer.best.Optimizer.score in
+    Printf.printf "%-8s %12.1f %12.1f %10.1f  %s\n%!" name g b (b -. g)
+      p.Optimizer.best.Optimizer.label;
+    (name, p)
+  in
+  let kernel_structs =
     List.map
       (fun name ->
-        let flg = Collect.flg ~params ~counts ~samples ~struct_name:name () in
-        let p =
-          Pipeline.search ~params ?pool:(pool ()) ~seed ~restarts
-            ~selector:Optimizer.Portfolio flg
-        in
-        let g = p.Optimizer.greedy.Optimizer.score in
-        let b = p.Optimizer.best.Optimizer.score in
-        if b < g then begin
-          Printf.eprintf
-            "layout_search: best (%g) scores below greedy (%g) on struct %s\n"
-            b g name;
-          exit 1
-        end;
-        Printf.printf "%-8s %12.1f %12.1f %10.1f  %s\n%!" name g b (b -. g)
-          p.Optimizer.best.Optimizer.label;
-        (name, p))
+        search ~params name
+          (Collect.flg ~params ~counts ~samples ~struct_name:name ()))
       Kernel.struct_names
   in
   (* The greedy-trap workload (Slo_workload.Trap): a struct engineered so
@@ -1109,32 +560,17 @@ let run_layout_search () =
      objective. Here the search must win STRICTLY, and the win must show
      up as fewer simulated cycles. *)
   let module Trap = Slo_workload.Trap in
-  let trap_flg = Trap.flg () in
-  let trap =
-    Pipeline.search ?pool:(pool ()) ~seed ~restarts
-      ~selector:Optimizer.Portfolio trap_flg
-  in
-  let tg = trap.Optimizer.greedy.Optimizer.score in
-  let tb = trap.Optimizer.best.Optimizer.score in
-  Printf.printf "%-8s %12.1f %12.1f %10.1f  %s\n%!" "trap" tg tb (tb -. tg)
-    trap.Optimizer.best.Optimizer.label;
-  if tb <= tg then begin
-    Printf.eprintf
-      "layout_search: search failed to strictly beat greedy on the trap \
-       workload (greedy %g, best %g)\n"
-      tg tb;
-    exit 1
-  end;
-  let per_struct = per_struct @ [ ("trap", trap) ] in
+  let _, trap = search "trap" (Trap.flg ()) in
+  let per_struct = kernel_structs @ [ ("trap", trap) ] in
   (* Simulator validation: structs that improved on the objective re-run
      their workload with the greedy layout vs the best-found layout; the
      trap uses its own driver, kernel structs use SDET. *)
   let module Machine = Slo_sim.Machine in
+  let score (r : Optimizer.result) = r.Optimizer.score in
   let improved =
     List.filter
-      (fun ((_, p) : string * Optimizer.portfolio) ->
-        p.Optimizer.best.Optimizer.score
-        > p.Optimizer.greedy.Optimizer.score +. 1e-9)
+      (fun (_, p) ->
+        score p.Optimizer.best > score p.Optimizer.greedy +. 1e-9)
       per_struct
   in
   let cfg =
@@ -1166,13 +602,21 @@ let run_layout_search () =
       improved
   in
   let confirmed = List.exists (fun (_, _, cg, cb) -> cb < cg) sim_rows in
-  if not confirmed then begin
-    Printf.eprintf
-      "layout_search: no objective win was confirmed by the simulator\n";
-    exit 1
-  end;
-  Printf.printf "simulator confirmation: yes\n%!";
-  Json.Obj
+  Printf.printf "simulator confirmation: %s\n%!"
+    (if confirmed then "yes" else "no");
+  let beats ~strict (p : Optimizer.portfolio) =
+    let b = score p.Optimizer.best and g = score p.Optimizer.greedy in
+    if strict then b > g else b >= g
+  in
+  let gates =
+    List.map (fun (n, p) -> ("best_ge_greedy." ^ n, beats ~strict:false p))
+      per_struct
+    @ [
+        ("trap_strict_win", beats ~strict:true trap);
+        ("sim_confirmed", confirmed);
+      ]
+  in
+  { gates; data = Json.Obj
     [
       ("restarts", Json.Int restarts);
       ("seed", Json.Int seed);
@@ -1214,240 +658,28 @@ let run_layout_search () =
                  ])
              sim_rows) );
       ("sim_confirmed", Json.Bool confirmed);
-    ]
+    ] }
 
 (* ------------------------------------------------------------------ *)
-(* Code-layout subsystem (lib/codelayout): the same search engine over a
-   second substrate — basic blocks with CFG-edge affinities, bins are
-   I-cache lines. Three gates in one section: (1) the portfolio's best
-   never scores below greedy or declaration order on the shared
-   objective, (2) the searched block order STRICTLY reduces simulated
-   I-cache misses on the built-in trap workload, and (3) the flat
-   kernel's instruction-fetch side stays byte-identical to the boxed
-   reference under both layouts. Exit non-zero on any failure — the
-   runtest-code wiring doubles as the subsystem's soundness check. *)
-
-let run_code_layout () =
-  section "code_layout: block-affinity search vs declaration order";
-  let module Codelayout = Slo_codelayout.Codelayout in
-  let module Ctrap = Slo_workload.Ctrap in
-  let module Machine = Slo_sim.Machine in
-  let module Coherence = Slo_sim.Coherence in
-  let module Sim_stats = Slo_sim.Sim_stats in
-  let module Sgraph = Slo_graph.Sgraph in
-  let capacity = Ctrap.icache.Coherence.i_line_size in
-  let prob =
-    Codelayout.of_program ~capacity (Ctrap.program ()) (Ctrap.profile ())
-  in
-  let blocks = Codelayout.blocks prob in
-  let graph = Codelayout.graph prob in
-  let active =
-    List.length
-      (List.filter
-         (fun b -> Sgraph.degree graph (Codelayout.Block.name b) > 0)
-         blocks)
-  in
-  let restarts = if !quick then 4 else 8 in
-  let seed = 0 in
-  Printf.printf
-    "%d blocks (%d active), %d affinity edges, %dB bins; portfolio = greedy \
-     + swap + %d annealing restarts (seed %d)\n"
-    (List.length blocks) active (Sgraph.num_edges graph) capacity restarts
-    seed;
-  let pf =
-    Codelayout.search ?pool:(pool ()) ~seed ~restarts prob
-      Slo_search.Engine.Portfolio
-  in
-  Printf.printf "%-12s %12s %8s\n" "candidate" "score" "moves";
-  List.iter
-    (fun (r : Codelayout.result) ->
-      Printf.printf "%-12s %12.2f %8d\n%!" r.Codelayout.label
-        r.Codelayout.score r.Codelayout.moves)
-    pf.Codelayout.scoreboard;
-  let decl_score = Codelayout.score prob (Codelayout.decl_bins prob) in
-  let g = pf.Codelayout.greedy.Codelayout.score in
-  let b = pf.Codelayout.best.Codelayout.score in
-  Printf.printf "best: %s (%.2f vs greedy %.2f, declaration %.2f)\n%!"
-    pf.Codelayout.best.Codelayout.label b g decl_score;
-  if b < g || b < decl_score then begin
-    Printf.eprintf
-      "code_layout: best (%g) scores below a baseline (greedy %g, \
-       declaration %g)\n"
-      b g decl_score;
-    exit 1
-  end;
-  (* Simulator confirmation, each layout run on both backends: the flat
-     kernel's fetch path is on the line here, not just the objective. *)
-  let cpus = 4 in
-  let run backend code_layout = Ctrap.run_sim ~backend ~cpus ?code_layout () in
-  let best_order = pf.Codelayout.best.Codelayout.order in
-  let base_flat = run Coherence.Flat None in
-  let base_ref = run Coherence.Reference None in
-  let opt_flat = run Coherence.Flat (Some best_order) in
-  let opt_ref = run Coherence.Reference (Some best_order) in
-  let backend_identical = base_flat = base_ref && opt_flat = opt_ref in
-  if not backend_identical then begin
-    Printf.eprintf
-      "code_layout: flat kernel diverges from reference on the fetch path\n";
-    exit 1
-  end;
-  Printf.printf "sim (%d cpus, %d-line x %dB I-cache), flat = reference: %s\n"
-    cpus Ctrap.icache.Coherence.i_lines Ctrap.icache.Coherence.i_line_size
-    (if backend_identical then "yes" else "NO");
-  let row label (r : Machine.result) =
-    Printf.printf
-      "  %-12s imisses %8d / %8d fetches (%5.1f%%), istall %9d, makespan %9d\n%!"
-      label r.Machine.stats.Sim_stats.imisses
-      r.Machine.stats.Sim_stats.ifetches
-      (100.0 *. Sim_stats.imiss_rate r.Machine.stats)
-      r.Machine.stats.Sim_stats.istall_cycles r.Machine.makespan
-  in
-  row "declaration" base_flat;
-  row pf.Codelayout.best.Codelayout.label opt_flat;
-  let confirmed =
-    opt_flat.Machine.stats.Sim_stats.imisses
-    < base_flat.Machine.stats.Sim_stats.imisses
-  in
-  if not confirmed then begin
-    Printf.eprintf
-      "code_layout: searched layout did not strictly reduce simulated \
-       I-cache misses (declaration %d, searched %d)\n"
-      base_flat.Machine.stats.Sim_stats.imisses
-      opt_flat.Machine.stats.Sim_stats.imisses;
-    exit 1
-  end;
-  Printf.printf "simulator confirmation: yes\n%!";
-  let sim_row (r : Machine.result) =
-    Json.Obj
-      [
-        ("imisses", Json.Int r.Machine.stats.Sim_stats.imisses);
-        ("ifetches", Json.Int r.Machine.stats.Sim_stats.ifetches);
-        ("imiss_rate", Json.Float (Sim_stats.imiss_rate r.Machine.stats));
-        ("istall_cycles", Json.Int r.Machine.stats.Sim_stats.istall_cycles);
-        ("makespan", Json.Int r.Machine.makespan);
-      ]
-  in
-  Json.Obj
-    [
-      ("capacity", Json.Int capacity);
-      ("blocks", Json.Int (List.length blocks));
-      ("active", Json.Int active);
-      ("edges", Json.Int (Sgraph.num_edges graph));
-      ("restarts", Json.Int restarts);
-      ("seed", Json.Int seed);
-      ("decl_score", Json.Float decl_score);
-      ("greedy_score", Json.Float g);
-      ("best_score", Json.Float b);
-      ("winner", Json.Str pf.Codelayout.best.Codelayout.label);
-      ( "scoreboard",
-        Json.List
-          (List.map
-             (fun (r : Codelayout.result) ->
-               Json.Obj
-                 [
-                   ("candidate", Json.Str r.Codelayout.label);
-                   ("score", Json.Float r.Codelayout.score);
-                   ("moves", Json.Int r.Codelayout.moves);
-                 ])
-             pf.Codelayout.scoreboard) );
-      ( "sim",
-        Json.Obj
-          [
-            ("cpus", Json.Int cpus);
-            ("declaration", sim_row base_flat);
-            ("best", sim_row opt_flat);
-          ] );
-      ("backend_identical", Json.Bool backend_identical);
-      ("sim_confirmed", Json.Bool confirmed);
-    ]
-
-(* ------------------------------------------------------------------ *)
-(* Flat memory-system kernel vs the boxed reference implementation. Three
-   checks in one section: (1) result identity — full Machine.result records
-   (makespan, per-CPU cycles, stats, samples, trace events) must be equal
-   across protocols and topologies, including a >62-CPU machine that
-   exercises the multi-word sharer masks; (2) parallel fan-out over
-   Exec.Pool stays byte-identical for pool sizes 1/2/4; (3) throughput of
-   both backends on the SDET workload (accesses/s, misses/s by class).
-   Exits non-zero on any mismatch, so the runtest-obs wiring doubles as a
-   kernel-vs-oracle differential check. *)
+(* Flat memory-system kernel vs the boxed reference implementation:
+   replay throughput of both backends on an SDET trace (accesses/s,
+   misses/s by class), single-level and with the multi-level hierarchy,
+   plus the NUMA-trap layout demo. Gates: the replays agree, the kernel
+   keeps its throughput lead, and the hierarchy-aware layout wins where
+   it must. Result identity across protocols and topologies (>62 CPUs
+   included) and under a domain pool is the sim.kernel.differential,
+   sim.kernel.machine and exec.determinism suites' job. *)
 
 let run_sim_scale () =
   section "sim_scale: flat memory-system kernel vs boxed reference";
+  (* the obs counters are process-wide: gate on this section's own runs *)
+  let kernel_runs0 = Obs.counter "sim.kernel.runs" in
+  let llc_runs0 = Obs.counter "sim.llc.runs" in
   let module Machine = Slo_sim.Machine in
   let module Coherence = Slo_sim.Coherence in
   let module Sim_stats = Slo_sim.Sim_stats in
   let base ~cpus = Sdet.default_config (Topology.superdome ~cpus ()) in
-  (* 1. Identity across protocols / topologies. Superdome-64 exceeds the
-     62-bit mask word, so the kernel's multi-word fallback is on the line
-     here, not just in the unit tests. *)
-  let identity_cases =
-    [
-      ( "superdome16 MESI sampled+traced",
-        { (base ~cpus:16) with Sdet.reps = 8; sample_period = Some 500;
-          trace = true } );
-      ( "superdome64 MOESI multi-word masks",
-        { (base ~cpus:64) with Sdet.reps = 4;
-          protocol = Slo_sim.Coherence.Moesi } );
-      ( "bus4 MESI small cache (evictions)",
-        { (Sdet.default_config (Topology.bus ~cpus:4 ())) with
-          Sdet.reps = 10; cache_lines = 64 } );
-    ]
-  in
-  Printf.printf "%-36s %12s %10s %10s\n" "identity case" "makespan" "accesses"
-    "identical";
-  let identity_rows =
-    List.map
-      (fun (name, cfg) ->
-        let r_ref = Sdet.run_once { cfg with Sdet.backend = Coherence.Reference } in
-        let r_flat = Sdet.run_once { cfg with Sdet.backend = Coherence.Flat } in
-        let identical = r_flat = r_ref in
-        let accesses =
-          r_flat.Machine.stats.Sim_stats.loads
-          + r_flat.Machine.stats.Sim_stats.stores
-        in
-        Printf.printf "%-36s %12d %10d %10s\n%!" name r_flat.Machine.makespan
-          accesses
-          (if identical then "yes" else "NO");
-        if not identical then begin
-          Printf.eprintf
-            "sim_scale: kernel diverges from reference on %s\n" name;
-          exit 1
-        end;
-        Json.Obj
-          [
-            ("case", Json.Str name);
-            ("makespan", Json.Int r_flat.Machine.makespan);
-            ("accesses", Json.Int accesses);
-            ("identical", Json.Bool identical);
-          ])
-      identity_cases
-  in
-  (* 2. Parallel multi-config fan-out over Exec.Pool: byte-identical
-     results for pool sizes 1, 2 and 4. *)
-  let pool_cfg = { (base ~cpus:8) with Sdet.reps = 6 } in
-  let pool_seeds = [ 1; 2; 3; 4; 5; 6 ] in
-  let run_seed seed = Sdet.run_once { pool_cfg with Sdet.seed } in
-  let serial = List.map run_seed pool_seeds in
-  let pool_sizes = [ 1; 2; 4 ] in
-  let pool_ok =
-    List.for_all
-      (fun n ->
-        let rs =
-          Pool.with_pool ~domains:n (fun p -> Pool.map p run_seed pool_seeds)
-        in
-        let ok = rs = serial in
-        Printf.printf "pool fan-out, %d domain%s: %s\n%!" n
-          (if n = 1 then "" else "s")
-          (if ok then "identical" else "MISMATCH");
-        ok)
-      pool_sizes
-  in
-  if not pool_ok then begin
-    Printf.eprintf "sim_scale: pooled runs diverge from serial runs\n";
-    exit 1
-  end;
-  (* 3. Memory-system throughput: record SDET's access trace once, then
+  (* 1. Memory-system throughput: record SDET's access trace once, then
      replay it through each backend's Coherence directly. This isolates
      what the kernel rewrote — the interpreter around it is shared by both
      backends and would only dilute the comparison. End-to-end simulation
@@ -1462,40 +694,50 @@ let run_sim_scale () =
       (Sdet.run_once { cfg with Sdet.trace = true }).Machine.trace
   in
   let n_trace = Array.length trace in
-  (* Each wall number is the best of three timed attempts: the replays are
-     deterministic, so the attempts differ only by machine noise and the
-     min is the honest throughput — the ratio gates below must not flake
-     on a descheduled attempt. *)
-  let replay ?hierarchy backend =
-    let attempt () =
-      let coh =
-        Coherence.create cfg.Sdet.topology ~line_size:Kernel.line_size
-          ~cache_capacity:cfg.Sdet.cache_lines ~protocol:cfg.Sdet.protocol
-          ?hierarchy ~backend ()
-      in
-      let t0 = Obs.now () in
-      for _rep = 1 to replays do
-        Array.iter
-          (fun (ev : Machine.trace_event) ->
-            ignore
-              (Coherence.access coh ~cpu:ev.Machine.t_cpu
-                 ~addr:ev.Machine.t_addr ~size:ev.Machine.t_size
-                 ~is_write:ev.Machine.t_is_write))
-          trace
-      done;
-      (Coherence.total_stats coh, Obs.now () -. t0)
+  let replay ?hierarchy backend () =
+    let coh =
+      Coherence.create cfg.Sdet.topology ~line_size:Kernel.line_size
+        ~cache_capacity:cfg.Sdet.cache_lines ~protocol:cfg.Sdet.protocol
+        ?hierarchy ~backend ()
     in
-    let stats, w1 = attempt () in
-    let _, w2 = attempt () in
-    let _, w3 = attempt () in
-    (stats, min w1 (min w2 w3))
+    let t0 = Obs.now () in
+    for _rep = 1 to replays do
+      Array.iter
+        (fun (ev : Machine.trace_event) ->
+          ignore
+            (Coherence.access coh ~cpu:ev.Machine.t_cpu ~addr:ev.Machine.t_addr
+               ~size:ev.Machine.t_size ~is_write:ev.Machine.t_is_write))
+        trace
+    done;
+    (Coherence.total_stats coh, Obs.now () -. t0)
   in
-  let ref_totals, ref_wall = replay Coherence.Reference in
-  let flat_totals, flat_wall = replay Coherence.Flat in
-  if flat_totals <> ref_totals then begin
-    Printf.eprintf "sim_scale: replay statistics diverge between backends\n";
-    exit 1
-  end;
+  (* Five rounds, each timing the four replays (both backends, single-level
+     and hierarchy) back to back. The replays are deterministic, so
+     attempts differ only by machine noise: each wall number is the best of
+     its five attempts, and each ratio (gated below) is the median over the
+     rounds of that round's own ratio. A round's replays share the
+     machine's state, and the median drops the rounds a descheduled or an
+     unusually fast stretch landed on; a ratio of two separately taken
+     minima does not (on a 2-core host it read 0.61-0.95 for the
+     single-level ratio, against 0.85-0.98 for the round median). *)
+  let module Ntrap = Slo_workload.Ntrap in
+  let hier_geometry = Ntrap.hierarchy in
+  let rounds =
+    List.init 5 (fun _ ->
+        List.map
+          (fun f -> f ())
+          [ replay Coherence.Reference; replay Coherence.Flat;
+            replay ~hierarchy:hier_geometry Coherence.Reference;
+            replay ~hierarchy:hier_geometry Coherence.Flat ])
+  in
+  let best i =
+    let tries = List.map (fun r -> List.nth r i) rounds in
+    (fst (List.hd tries), List.fold_left (fun m (_, w) -> min m w) infinity tries)
+  in
+  let ref_totals, ref_wall = best 0 in
+  let flat_totals, flat_wall = best 1 in
+  let hier_ref_totals, hier_ref_wall = best 2 in
+  let hier_flat_totals, hier_flat_wall = best 3 in
   (* End-to-end simulation wall time (interpreter + memory system). *)
   let sim_wall backend =
     let t0 = Obs.now () in
@@ -1525,9 +767,16 @@ let run_sim_scale () =
             ] );
       ]
   in
-  let flat_rate = per_s flat_wall (accesses flat_totals) in
-  let ref_rate = per_s ref_wall (accesses ref_totals) in
-  let speedup = if ref_rate > 0.0 then flat_rate /. ref_rate else 0.0 in
+  let rate_ratio (num, i) (den, j) =
+    Stats.median
+      (List.map
+         (fun r ->
+           let w k = snd (List.nth r k) in
+           let d = per_s (w j) (accesses den) in
+           if d > 0.0 then per_s (w i) (accesses num) /. d else 0.0)
+         rounds)
+  in
+  let speedup = rate_ratio (flat_totals, 1) (ref_totals, 0) in
   let sim_speedup =
     if flat_sim_wall > 0.0 then ref_sim_wall /. flat_sim_wall else 0.0
   in
@@ -1552,37 +801,14 @@ let run_sim_scale () =
   Printf.printf
     "end-to-end simulation: reference %.4fs, kernel %.4fs (%.2fx) over %d runs\n%!"
     ref_sim_wall flat_sim_wall sim_speedup runs;
-  if Obs.counter "sim.kernel.runs" = 0 then begin
-    Printf.eprintf "sim_scale: sim.kernel.* obs counters never moved\n";
-    exit 1
-  end;
-  (* 4. Multi-level hierarchy: the same trace replayed with private L1s
+  (* 2. Multi-level hierarchy: the same trace replayed with private L1s
      and per-cell victim LLCs in front of the coherent caches. Three
      gates: the backends stay identical, the flat kernel keeps a >= 3x
      throughput lead over the boxed reference, and the hierarchy
      machinery costs the flat kernel at most 30% of its single-level
      throughput. *)
-  let module Ntrap = Slo_workload.Ntrap in
-  let hier_geometry = Ntrap.hierarchy in
-  let hier_ref_totals, hier_ref_wall =
-    replay ~hierarchy:hier_geometry Coherence.Reference
-  in
-  let hier_flat_totals, hier_flat_wall =
-    replay ~hierarchy:hier_geometry Coherence.Flat
-  in
-  if hier_flat_totals <> hier_ref_totals then begin
-    Printf.eprintf
-      "sim_scale: multi-level replay statistics diverge between backends\n";
-    exit 1
-  end;
-  let hier_flat_rate = per_s hier_flat_wall (accesses hier_flat_totals) in
-  let hier_ref_rate = per_s hier_ref_wall (accesses hier_ref_totals) in
-  let hier_speedup =
-    if hier_ref_rate > 0.0 then hier_flat_rate /. hier_ref_rate else 0.0
-  in
-  let single_level_ratio =
-    if flat_rate > 0.0 then hier_flat_rate /. flat_rate else 0.0
-  in
+  let hier_speedup = rate_ratio (hier_flat_totals, 3) (hier_ref_totals, 2) in
+  let single_level_ratio = rate_ratio (hier_flat_totals, 3) (flat_totals, 1) in
   Printf.printf
     "multi-level replay (L1 %d lines, LLC %d lines per cell):\n"
     hier_geometry.Coherence.h_l1_lines hier_geometry.Coherence.h_llc_lines;
@@ -1592,25 +818,11 @@ let run_sim_scale () =
     "multi-level speedup: %.2fx accesses/s (gate: >= 3x); %.2fx of \
      single-level kernel throughput (gate: >= 0.7x)\n%!"
     hier_speedup single_level_ratio;
-  if hier_speedup < 3.0 then begin
-    Printf.eprintf
-      "sim_scale: multi-level kernel throughput %.2fx reference — below \
-       the 3x gate\n"
-      hier_speedup;
-    exit 1
-  end;
-  if single_level_ratio < 0.7 then begin
-    Printf.eprintf
-      "sim_scale: hierarchy costs the kernel %.0f%% of its single-level \
-       throughput — above the 30%% regression gate\n"
-      ((1.0 -. single_level_ratio) *. 100.0);
-    exit 1
-  end;
-  (* 5. The NUMA trap demo: the hierarchy-aware objective must strictly
+  (* 3. The NUMA trap demo: the hierarchy-aware objective must strictly
      beat the distance-blind one in simulated cycles on the 128-CPU
      Superdome, and must not lose on the 4-CPU bus (where the two
      objectives pick the same layout and the makespans are a wash). *)
-  let demo topo name require_strict =
+  let demo topo name ~require_strict =
     let mk_hier = Ntrap.measure_makespan ~topo (Ntrap.layout_hier topo) in
     let mk_flat = Ntrap.measure_makespan ~topo (Ntrap.layout_flat topo) in
     let win_pct =
@@ -1621,50 +833,46 @@ let run_sim_scale () =
     Printf.printf
       "ntrap %-14s hier-aware %8d cycles, flat %8d cycles (%+.2f%%)\n%!" name
       mk_hier mk_flat win_pct;
-    if require_strict && mk_hier >= mk_flat then begin
-      Printf.eprintf
-        "sim_scale: hierarchy-aware layout does not strictly beat the flat \
-         one on %s (%d vs %d cycles)\n"
-        name mk_hier mk_flat;
-      exit 1
-    end;
-    if (not require_strict) && mk_hier > mk_flat then begin
-      Printf.eprintf
-        "sim_scale: hierarchy-aware layout loses to the flat one on %s \
-         (%d vs %d cycles)\n"
-        name mk_hier mk_flat;
-      exit 1
-    end;
-    ( name,
-      Json.Obj
-        [
-          ("hier_cycles", Json.Int mk_hier);
-          ("flat_cycles", Json.Int mk_flat);
-          ("win_pct", Json.Float win_pct);
-          ("strict_win_required", Json.Bool require_strict);
-        ] )
+    let gate =
+      if require_strict then ("ntrap_strict_win." ^ name, mk_hier < mk_flat)
+      else ("ntrap_no_loss." ^ name, mk_hier <= mk_flat)
+    in
+    ( gate,
+      ( name,
+        Json.Obj
+          [
+            ("hier_cycles", Json.Int mk_hier);
+            ("flat_cycles", Json.Int mk_flat);
+            ("win_pct", Json.Float win_pct);
+            ("strict_win_required", Json.Bool require_strict);
+          ] ) )
   in
-  let demo_superdome = demo (Topology.superdome ~cpus:128 ()) "superdome128" true in
-  let demo_bus = demo (Topology.bus ~cpus:4 ()) "bus4" false in
-  if Obs.counter "sim.llc.runs" = 0 then begin
-    Printf.eprintf "sim_scale: sim.llc.* obs counters never moved\n";
-    exit 1
-  end;
-  Json.Obj
+  let sd =
+    demo (Topology.superdome ~cpus:128 ()) "superdome128" ~require_strict:true
+  in
+  let bus = demo (Topology.bus ~cpus:4 ()) "bus4" ~require_strict:false in
+  let demos = [ sd; bus ] in
+  let identical = flat_totals = ref_totals in
+  let hier_identical = hier_flat_totals = hier_ref_totals in
+  let gates =
+    [
+      ("replay_identical", identical);
+      ("kernel_counters_moved", Obs.counter "sim.kernel.runs" > kernel_runs0);
+      ("hier_replay_identical", hier_identical);
+      ("hier_speedup_ge_3x", hier_speedup >= 3.0);
+      ("hier_within_30pct_of_single_level", single_level_ratio >= 0.7);
+      ("llc_counters_moved", Obs.counter "sim.llc.runs" > llc_runs0);
+    ]
+    @ List.map fst demos
+  in
+  { gates; data = Json.Obj
     [
       ("cpus", Json.Int cpus);
       ("reps", Json.Int reps);
       ("runs", Json.Int runs);
       ("trace_accesses", Json.Int n_trace);
       ("replays", Json.Int replays);
-      ("identity", Json.List identity_rows);
-      ("identical", Json.Bool true);
-      ( "pool",
-        Json.Obj
-          [
-            ("sizes", Json.List (List.map (fun n -> Json.Int n) pool_sizes));
-            ("identical", Json.Bool pool_ok);
-          ] );
+      ("identical", Json.Bool identical);
       ("kernel", backend_json flat_totals flat_wall);
       ("reference", backend_json ref_totals ref_wall);
       ("speedup_x", Json.Float speedup);
@@ -1681,7 +889,7 @@ let run_sim_scale () =
           [
             ("l1_lines", Json.Int hier_geometry.Coherence.h_l1_lines);
             ("llc_lines", Json.Int hier_geometry.Coherence.h_llc_lines);
-            ("identical", Json.Bool true);
+            ("identical", Json.Bool hier_identical);
             ( "hits",
               Json.Obj
                 [
@@ -1697,119 +905,24 @@ let run_sim_scale () =
             ("speedup_x", Json.Float hier_speedup);
             ("single_level_ratio", Json.Float single_level_ratio);
             ( "demo",
-              Json.Obj [ demo_superdome; demo_bus ] );
+              Json.Obj (List.map snd demos) );
             ("llc_runs_counter", Json.Int (Obs.counter "sim.llc.runs"));
           ] );
-    ]
-
-let run_model_check () =
-  section "model_check: exhaustive small-config coherence verification";
-  let module Mc = Slo_sim.Modelcheck in
-  Printf.printf
-    "breadth-first over every interleaving; both backends + trace oracle \
-     checked on every edge\n";
-  Printf.printf "%-24s %8s %8s %8s %6s %9s %8s %9s\n" "config" "states" "pinned"
-    "edges" "depth" "frontier" "oracle" "wall (s)";
-  let drift = ref false in
-  let rows =
-    List.map
-      (fun (cfg, pin) ->
-        let t0 = Obs.now () in
-        let r =
-          try Mc.run cfg
-          with Mc.Violation { vmsg; vtrace } ->
-            Printf.eprintf
-              "model_check: %s violated an invariant: %s (witness: %d steps)\n"
-              (Mc.config_name cfg) vmsg (List.length vtrace);
-            exit 1
-        in
-        let wall = Obs.now () -. t0 in
-        let ok = r.Mc.r_states = pin in
-        if not ok then drift := true;
-        Printf.printf "%-24s %8d %8d %8d %6d %9d %8d %9.3f%s\n%!"
-          (Mc.config_name cfg) r.Mc.r_states pin r.Mc.r_transitions
-          r.Mc.r_max_depth r.Mc.r_max_frontier r.Mc.r_oracle_traces wall
-          (if ok then "" else "  DRIFT");
-        Json.Obj
-          [
-            ("config", Json.Str (Mc.config_name cfg));
-            ("states", Json.Int r.Mc.r_states);
-            ("pinned", Json.Int pin);
-            ("transitions", Json.Int r.Mc.r_transitions);
-            ("max_depth", Json.Int r.Mc.r_max_depth);
-            ("max_frontier", Json.Int r.Mc.r_max_frontier);
-            ("oracle_traces", Json.Int r.Mc.r_oracle_traces);
-            ("ok", Json.Bool ok);
-          ])
-      Mc.standard_suite
-  in
-  if !drift then begin
-    Printf.eprintf
-      "model_check: reachable-state count drifted from its pin — the \
-       protocol semantics changed\n";
-    exit 1
-  end;
-  (* The mutation net must stay live: a deliberately broken protocol table
-     has to be caught, with a minimized witness. *)
-  let mutations =
-    [
-      ("read_keeps_modified", Mc.Read_keeps_modified);
-      ("skip_last_invalidation", Mc.Skip_last_invalidation);
-    ]
-  in
-  let mutation_rows =
-    List.map
-      (fun (name, m) ->
-        match Mc.run ~mutate:m (Mc.config ()) with
-        | _ ->
-          Printf.eprintf
-            "model_check: mutation %s explored without a violation — the \
-             invariant net is dead\n"
-            name;
-          exit 1
-        | exception Mc.Violation { vmsg; vtrace } ->
-          Printf.printf "mutation %-24s caught: %s (%d-step witness)\n%!" name
-            vmsg (List.length vtrace);
-          Json.Obj
-            [
-              ("mutation", Json.Str name);
-              ("caught", Json.Bool true);
-              ("witness_steps", Json.Int (List.length vtrace));
-              ("message", Json.Str vmsg);
-            ])
-      mutations
-  in
-  Printf.printf "totals: %d states, %d transitions across %d configs\n%!"
-    (Obs.counter "sim.mc.states")
-    (Obs.counter "sim.mc.transitions")
-    (List.length Mc.standard_suite);
-  Json.Obj
-    [
-      ("configs", Json.List rows);
-      ("mutations", Json.List mutation_rows);
-      ("all_pinned", Json.Bool (not !drift));
-      ("states_counter", Json.Int (Obs.counter "sim.mc.states"));
-      ("transitions_counter", Json.Int (Obs.counter "sim.mc.transitions"));
-      ("runs_counter", Json.Int (Obs.counter "sim.mc.runs"));
-    ]
+    ] }
 
 (* ------------------------------------------------------------------ *)
 (* Always-on layout service: drive a running serve daemon with a phased,
-   multi-client feed of the kernel corpus's PMU samples, then gate on the
-   three identities the service rests on: (1) the retire-by-subtraction
-   sliding window equals a from-scratch re-bin of the final window's
-   samples, (2) at least one drift-triggered re-search published a new
-   versioned layout, (3) a snapshot/restore round trip is byte-identical
-   and a forced re-search on the restored server reproduces the
-   suggestion exactly. Any divergence exits non-zero — the runtest-cc
-   wiring doubles as the service-soundness check. *)
+   multi-client feed of the kernel corpus's PMU samples, then gate on (1)
+   the retire-by-subtraction sliding window equalling a from-scratch
+   re-bin of the final window's samples and (2) at least one
+   drift-triggered re-search publishing a new versioned layout. The
+   snapshot/restore identity is the serve.server suite's. *)
 
 let run_serve () =
   section "serve: always-on layout service (sliding window + re-search)";
   let module Serve = Slo_serve.Serve in
   let module Window = Slo_serve.Window in
   let module Optimizer = Slo_search.Optimizer in
-  let module Persist = Slo_persist.Persist in
   let program = Kernel.program () in
   let counts = Collect.profile () in
   let base = Collect.samples () in
@@ -1858,7 +971,7 @@ let run_serve () =
         { s with Sample.itc = s.Sample.itc + (phase * span) + client; line })
       base_arr
   in
-  let client_list = List.init clients (fun c -> c) in
+  let client_list = List.init clients Fun.id in
   Printf.printf
     "%d clients x %d phases, %d samples/batch, interval %d, window %d\n%!"
     clients phases (Array.length base_arr) interval window;
@@ -1914,11 +1027,6 @@ let run_serve () =
   let rebin_identical = canon (Window.master w) = canon direct in
   Printf.printf "retire-by-subtraction vs re-bin from scratch: %s\n%!"
     (if rebin_identical then "identical" else "MISMATCH");
-  if not rebin_identical then begin
-    Printf.eprintf
-      "serve: window after retirement diverges from a from-scratch re-bin\n";
-    exit 1
-  end;
   (* Gate 2: the workload shift must have triggered a drift re-search. *)
   let pubs = Serve.publications t in
   Printf.printf "\n%-8s %10s %10s %12s %10s\n" "version" "drift" "samples"
@@ -1935,48 +1043,6 @@ let run_serve () =
         p.Serve.version > 1 && p.Serve.pub_drift > drift_threshold)
       pubs
   in
-  if not drift_triggered then begin
-    Printf.eprintf
-      "serve: the workload shift never triggered a drift re-search\n";
-    exit 1
-  end;
-  (* Gate 3: kill-then-restore. Snapshot, restore into a fresh server,
-     snapshot again: bytes must match (canonical row order), and a forced
-     re-search on both must produce the same CC and the same layout. *)
-  let snap1 = Filename.temp_file "slo_serve" ".snap" in
-  let snap2 = Filename.temp_file "slo_serve" ".snap" in
-  Fun.protect
-    ~finally:(fun () ->
-      List.iter
-        (fun p -> try Sys.remove p with Sys_error _ -> ())
-        [ snap1; snap2 ])
-  @@ fun () ->
-  Serve.snapshot t ~path:snap1;
-  let t' = Serve.restore cfg ~path:snap1 in
-  Serve.snapshot t' ~path:snap2;
-  let read_raw p =
-    let ic = open_in_bin p in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  let snapshot_identical = read_raw snap1 = read_raw snap2 in
-  let a = Serve.research t and b = Serve.research t' in
-  let research_identical =
-    a.Serve.cc_pairs = b.Serve.cc_pairs
-    && a.Serve.best.Optimizer.blocks = b.Serve.best.Optimizer.blocks
-    && a.Serve.best.Optimizer.score = b.Serve.best.Optimizer.score
-  in
-  Printf.printf
-    "\nsnapshot round trip: %s; restored re-search: %s (version %d, score \
-     %.2f)\n%!"
-    (if snapshot_identical then "byte-identical" else "MISMATCH")
-    (if research_identical then "identical suggestion" else "MISMATCH")
-    (Serve.version t') b.Serve.best.Optimizer.score;
-  if not (snapshot_identical && research_identical) then begin
-    Printf.eprintf "serve: snapshot/restore failed to reproduce the state\n";
-    exit 1
-  end;
   let hist name =
     match Obs.histogram name with
     | Some s -> (s.Obs.count, s.Obs.p50, s.Obs.p99)
@@ -1987,7 +1053,10 @@ let run_serve () =
   Printf.printf
     "ingest: %d batches, p50 %.6fs, p99 %.6fs; %d re-searches (p99 %.4fs)\n%!"
     i_count i_p50 i_p99 r_count r_p99;
-  Json.Obj
+  { gates =
+      [ ("rebin_identical", rebin_identical);
+        ("drift_triggered", drift_triggered) ];
+    data = Json.Obj
     [
       ("interval", Json.Int interval);
       ("window", Json.Int window);
@@ -2013,103 +1082,90 @@ let run_serve () =
       ("dropped_batches", Json.Int (Serve.dropped_batches t));
       ("rebin_identical", Json.Bool rebin_identical);
       ("drift_triggered", Json.Bool drift_triggered);
-      ("snapshot_identical", Json.Bool snapshot_identical);
-      ("research_identical", Json.Bool research_identical);
-    ]
+    ] }
 
 (* ------------------------------------------------------------------ *)
 
-let all_sections =
+let sections =
   [
-    ("topology", run_topology);
-    ("fig8", run_fig8);
-    ("fig10", run_fig10);
-    ("fig9", run_fig9);
-    ("ccstability", run_cc_stability);
-    ("gvl", run_gvl);
-    ("accumulation", run_accumulation);
-    ("oracle", run_oracle);
-    ("userapp", run_userapp);
-    ("ablation-k2", run_ablation_k2);
-    ("ablation-sampling", run_ablation_sampling);
-    ("ablation-clustering", run_ablation_clustering);
-    ("ablation-machines", run_ablation_machines);
-    ("ablation-protocol", run_ablation_protocol);
-    ("micro", run_micro);
+    ("topology", ungated run_topology);
+    ("fig8", ungated run_fig8);
+    ("fig10", ungated run_fig10);
+    ("fig9", ungated run_fig9);
+    ("ccstability", ungated run_cc_stability);
+    ("gvl", ungated run_gvl);
+    ("accumulation", ungated run_accumulation);
+    ("oracle", ungated run_oracle);
+    ("userapp", ungated run_userapp);
+    ("ablation-k2", ungated run_ablation_k2);
+    ("ablation-sampling", ungated run_ablation_sampling);
+    ("ablation-clustering", ungated run_ablation_clustering);
+    ("ablation-machines", ungated run_ablation_machines);
+    ("ablation-protocol", ungated run_ablation_protocol);
     ("layout_search", run_layout_search);
-    ("code_layout", run_code_layout);
-    ("cc_scale", run_cc_scale);
     ("sim_scale", run_sim_scale);
-    ("model_check", run_model_check);
     ("serve", run_serve);
-    ("smoke", run_smoke);
   ]
 
 let run_section (name, f) =
   let t0 = Obs.now () in
-  let data = f () in
-  write_artifact ~section:name ~wall:(Obs.now () -. t0) data
+  let r = f () in
+  write_artifact ~section:name ~wall:(Obs.now () -. t0) r;
+  match List.filter (fun (_, ok) -> not ok) r.gates with
+  | [] ->
+    if r.gates <> [] then
+      Printf.printf "gates: all %d pass\n%!" (List.length r.gates)
+  | failed ->
+    List.iter (fun (g, _) -> Printf.eprintf "%s: gate %s failed\n" name g)
+      failed;
+    exit 1
 
+(* Command line: section names (and the word "quick") as positionals. An
+   unknown name or a --jobs outside [1, Pool.max_domains] is a usage
+   error: Cmdliner exits 124. *)
 let () =
-  let args = List.tl (Array.to_list Sys.argv) in
-  (* --jobs N, --jobs=N, or SLO_JOBS=N in the environment; --json PATH *)
-  let rec parse_opts acc = function
-    | [] -> List.rev acc
-    | "--jobs" :: n :: rest -> (
-      match int_of_string_opt n with
-      | Some j when j >= 1 ->
-        jobs := j;
-        parse_opts acc rest
-      | Some _ | None ->
-        Printf.eprintf "--jobs expects a positive integer, got %S\n" n;
-        exit 1)
-    | a :: rest when String.length a > 7 && String.sub a 0 7 = "--jobs=" -> (
-      let n = String.sub a 7 (String.length a - 7) in
-      match int_of_string_opt n with
-      | Some j when j >= 1 ->
-        jobs := j;
-        parse_opts acc rest
-      | Some _ | None ->
-        Printf.eprintf "--jobs expects a positive integer, got %S\n" n;
-        exit 1)
-    | "--json" :: p :: rest ->
-      json_path := Some p;
-      parse_opts acc rest
-    | [ "--json" ] ->
-      Printf.eprintf "--json expects a path\n";
-      exit 1
-    | a :: rest when String.length a > 7 && String.sub a 0 7 = "--json=" ->
-      json_path := Some (String.sub a 7 (String.length a - 7));
-      parse_opts acc rest
-    | a :: rest -> parse_opts (a :: acc) rest
+  let open Cmdliner in
+  let jobs_conv =
+    let parse s = Result.map_error (fun m -> `Msg m) (Pool.jobs_of_string s) in
+    Arg.conv ~docv:"N" (parse, Format.pp_print_int)
   in
-  let args = parse_opts [] args in
-  let args =
-    List.filter
-      (fun a ->
-        if a = "quick" || a = "--quick" then begin
-          quick := true;
-          false
-        end
-        else true)
-      args
+  let choices =
+    ("quick", None) :: List.map (fun s -> (fst s, Some s)) sections
   in
-  Printf.printf
-    "Structure Layout Optimization for Multithreaded Programs (CGO 2007)\n";
-  Printf.printf "benchmark harness%s, %d job%s\n%!"
-    (if !quick then " (quick mode)" else "")
-    (effective_jobs ())
-    (if effective_jobs () = 1 then "" else "s");
-  (match args with
-  | [] -> List.iter run_section all_sections
-  | names ->
-    List.iter
-      (fun name ->
-        match List.assoc_opt name all_sections with
-        | Some f -> run_section (name, f)
-        | None ->
-          Printf.eprintf "unknown section %S; available: %s\n" name
-            (String.concat ", " (List.map fst all_sections));
-          exit 1)
-      names);
-  write_manifest ()
+  let names =
+    Arg.(
+      value & pos_all (enum choices) []
+      & info [] ~docv:"SECTION" ~doc:"sections to run (default: all)")
+  in
+  let quick_flag =
+    Arg.(value & flag & info [ "quick" ] ~doc:"smaller machines, fewer runs")
+  in
+  let jobs_arg =
+    Arg.(
+      value & opt (some jobs_conv) None
+      & info [ "jobs" ] ~docv:"N"
+          ~doc:"worker domains (default: $(b,SLO_JOBS), else the core count)")
+  in
+  let json_arg =
+    Arg.(
+      value & opt (some string) None
+      & info [ "json" ] ~docv:"PATH"
+          ~doc:"write the manifest to $(docv), artifacts beside it")
+  in
+  let run names q j json =
+    quick := q || List.exists Option.is_none names;
+    Option.iter (fun j -> jobs := j) j;
+    json_path := json;
+    Printf.printf
+      "Structure Layout Optimization for Multithreaded Programs (CGO 2007)\n";
+    Printf.printf "benchmark harness%s, %d job%s\n%!"
+      (if !quick then " (quick mode)" else "")
+      (effective_jobs ())
+      (if effective_jobs () = 1 then "" else "s");
+    (match List.filter_map Fun.id names with
+    | [] -> List.iter run_section sections
+    | chosen -> List.iter run_section chosen);
+    write_manifest ()
+  in
+  let term = Term.(const run $ names $ quick_flag $ jobs_arg $ json_arg) in
+  exit (Cmd.eval (Cmd.v (Cmd.info "main" ~doc:"benchmark harness") term))

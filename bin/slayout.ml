@@ -217,10 +217,16 @@ let inline_arg =
           "inline all calls before the analysis (recovers cross-procedure \
            affinity, paper §3.1)")
 
+(* A --jobs outside [1, Pool.max_domains] is a command-line error (exit
+   124), not a silent fallback to the default or a failed Domain.spawn. *)
+let jobs_conv =
+  let parse s = Result.map_error (fun m -> `Msg m) (Pool.jobs_of_string s) in
+  Arg.conv ~docv:"N" (parse, Format.pp_print_int)
+
 let jobs_arg =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some jobs_conv) None
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
           "worker domains for the parallel stages (default: $(b,SLO_JOBS) \
@@ -276,7 +282,7 @@ let collect_hierarchy =
    paths stay observably interchangeable from the CLI *)
 let with_jobs jobs f =
   let domains =
-    match jobs with Some n when n >= 1 -> n | _ -> Pool.default_jobs ()
+    match jobs with Some n -> n | None -> Pool.default_jobs ()
   in
   if domains <= 1 then f ~domains None
   else Pool.with_pool ~domains (fun p -> f ~domains (Some p))
@@ -840,16 +846,6 @@ let sdet_cmd =
   in
   let cpus_arg =
     Arg.(value & opt int 32 & info [ "cpus" ] ~docv:"N" ~doc:"machine size")
-  in
-  let jobs_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:
-            "worker domains for parallel simulator runs (default: \
-             $(b,SLO_JOBS) if set, else the recommended domain count). \
-             Results are identical for every N.")
   in
   Cmd.v
     (Cmd.info "sdet" ~doc:"run the built-in SDET-like kernel benchmark")

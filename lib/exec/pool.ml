@@ -16,13 +16,19 @@ type state = {
 
 type t = { domains : int; state : state option; mutable alive : bool }
 
+(* OCaml 5 caps the number of live domains at 128 (the caller's included). *)
+let max_domains = 128
+
+let jobs_of_string s =
+  match int_of_string_opt (String.trim s) with
+  | Some n when n >= 1 && n <= max_domains -> Ok n
+  | Some _ | None ->
+    Error (Printf.sprintf "expected an integer in [1, %d], got %S" max_domains s)
+
 let default_jobs () =
-  match Sys.getenv_opt "SLO_JOBS" with
-  | Some s -> (
-    match int_of_string_opt (String.trim s) with
-    | Some n when n >= 1 -> n
-    | Some _ | None -> Domain.recommended_domain_count ())
-  | None -> Domain.recommended_domain_count ()
+  match Option.map jobs_of_string (Sys.getenv_opt "SLO_JOBS") with
+  | Some (Ok n) -> n
+  | Some (Error _) | None -> Domain.recommended_domain_count ()
 
 let worker_loop st =
   let rec loop () =
@@ -42,6 +48,7 @@ let worker_loop st =
 
 let create ~domains =
   if domains < 1 then invalid_arg "Pool.create: domains < 1";
+  if domains > max_domains then invalid_arg "Pool.create: domains > 128";
   if domains = 1 then { domains; state = None; alive = true }
   else begin
     let st =

@@ -45,9 +45,19 @@
 
 type t
 
+val max_domains : int
+(** The largest pool {!create} accepts: 128, OCaml 5's limit on live
+    domains (the calling domain included). *)
+
+val jobs_of_string : string -> (int, string) result
+(** A worker count as written on a command line or in [SLO_JOBS]: an
+    integer in [\[1, max_domains\]] (surrounding blanks allowed), or an
+    error message naming that range. *)
+
 val default_jobs : unit -> int
 (** Worker count used when the caller does not choose: the [SLO_JOBS]
-    environment variable if set to a positive integer, otherwise
+    environment variable if set to an integer in [\[1, max_domains\]],
+    otherwise (unset, garbage or out of range)
     [Domain.recommended_domain_count ()]. *)
 
 val create : domains:int -> t
@@ -55,7 +65,8 @@ val create : domains:int -> t
     calling thread participates in draining the queue during {!map}, so
     [domains - 1] additional domains are spawned; [domains = 1] spawns
     nothing and makes every operation run serially in the caller.
-    @raise Invalid_argument if [domains < 1]. *)
+    @raise Invalid_argument if [domains < 1] or [domains > max_domains],
+    before any domain is spawned. *)
 
 val size : t -> int
 (** Total parallelism (the [domains] passed to {!create}). *)

@@ -150,6 +150,55 @@ let test_pool_basics () =
     (Invalid_argument "Pool.mapi: pool is shut down") (fun () ->
       ignore (Pool.map p succ [ 1 ]))
 
+(* OCaml 5 allows 128 live domains: an over-limit pool is rejected up
+   front with a documented error, before any domain is spawned, and an
+   over-limit SLO_JOBS falls back to the default like garbage does. *)
+let test_pool_domain_limit () =
+  Alcotest.check_raises "domains > 128 rejected"
+    (Invalid_argument "Pool.create: domains > 128") (fun () ->
+      ignore (Pool.create ~domains:(Pool.max_domains + 1)));
+  let saved = Sys.getenv_opt "SLO_JOBS" in
+  Fun.protect
+    ~finally:(fun () -> Unix.putenv "SLO_JOBS" (Option.value saved ~default:""))
+    (fun () ->
+      List.iter
+        (fun v ->
+          Unix.putenv "SLO_JOBS" v;
+          Alcotest.(check int) ("SLO_JOBS=" ^ v)
+            (Domain.recommended_domain_count ()) (Pool.default_jobs ()))
+        [ "129"; "100000"; "0"; "x" ];
+      Unix.putenv "SLO_JOBS" "128";
+      Alcotest.(check int) "SLO_JOBS=128" 128 (Pool.default_jobs ()))
+
+(* The worker-count parser behind --jobs (slayout and the bench) and
+   SLO_JOBS: integers in [1, max_domains], blanks around them allowed;
+   everything else is an error naming the range. *)
+let jobs_cases =
+  let case input expected =
+    Alcotest.test_case (Printf.sprintf "jobs_of_string %S" input) `Quick
+      (fun () ->
+        match (Pool.jobs_of_string input, expected) with
+        | Ok n, Some m -> Alcotest.(check int) input m n
+        | Error msg, None ->
+          Alcotest.(check bool) ("names the range: " ^ msg) true
+            (Tutil.contains msg "[1, 128]")
+        | Ok n, None -> Alcotest.failf "%S accepted as %d" input n
+        | Error msg, Some _ -> Alcotest.failf "%S rejected: %s" input msg)
+  in
+  [
+    case "1" (Some 1);
+    case "2" (Some 2);
+    case "128" (Some 128);
+    case " 16\n" (Some 16);
+    case "0" None;
+    case "-3" None;
+    case "129" None;
+    case "100000" None;
+    case "" None;
+    case "four" None;
+    case "2.5" None;
+  ]
+
 (* Regression for the reuse guarantee long-lived pool owners (the serve
    daemon's simulated clients) rely on: a failing batch must leave the
    pool fully usable — no wedged workers, no leaked queue entries. *)
@@ -300,6 +349,25 @@ let test_throughputs_pool_eq_serial () =
         (Printf.sprintf "throughputs, %d domains" domains)
         serial par)
     (pool_sizes ())
+
+(* The figures' per-struct analysis over the kernel corpus: the
+   automatic, hotness and incremental layouts are byte-identical with and
+   without a pool. *)
+let test_analyze_all_pool_eq_serial () =
+  let module Exp = Slo_workload.Experiments in
+  let render ls =
+    List.map
+      (fun (l : Exp.layouts) ->
+        String.concat "\n"
+          (l.Exp.struct_name
+          :: List.map (Format.asprintf "%a" Layout.pp)
+               [ l.Exp.automatic; l.Exp.hotness; l.Exp.incremental ]))
+      ls
+  in
+  let serial = render (Exp.analyze_all ()) in
+  Alcotest.(check (list string))
+    "layouts, 2 domains" serial
+    (Pool.with_pool ~domains:2 (fun p -> render (Exp.analyze_all ~pool:p ())))
 
 (* ------------------------------------------------------------------ *)
 (* Small-instance oracle: brute-force all line-respecting partitions of a
@@ -538,13 +606,20 @@ let suites =
       Alcotest.test_case "basics" `Quick test_pool_basics
       :: Alcotest.test_case "reusable after a failing batch" `Quick
            test_pool_survives_failing_batch
-      :: props );
+      :: props
+      @ [
+          Alcotest.test_case "domain limit: create and SLO_JOBS" `Quick
+            test_pool_domain_limit;
+        ] );
+    ("exec.jobs", jobs_cases);
     ( "exec.determinism",
       [
         Alcotest.test_case "concurrent machine runs identical" `Quick
           test_machine_concurrent_determinism;
         Alcotest.test_case "throughputs via pool identical" `Quick
           test_throughputs_pool_eq_serial;
+        Alcotest.test_case "Experiments.analyze_all via pool identical" `Quick
+          test_analyze_all_pool_eq_serial;
       ] );
     ("exec.cluster-oracle", oracle_props);
   ]

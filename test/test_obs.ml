@@ -69,6 +69,33 @@ let test_json_parse_errors () =
   expect_error "{} garbage";
   expect_error "1 2"
 
+(* Documented corners of the number grammar and of [member], one case
+   each: the bench artifact checks rely on Int/Float telling "jobs" from
+   "wall_s", and on [member] for every key. *)
+let json_value_cases =
+  let parses name input expected =
+    Alcotest.test_case name `Quick (fun () ->
+        Alcotest.(check bool) input true (Json.of_string input = Ok expected))
+  in
+  [
+    parses "negative integer is Int" "-42" (Json.Int (-42));
+    parses "integer beyond int is Float" "100000000000000000000"
+      (Json.Float 1e20);
+    parses "exponent without a dot is Float" "1e3" (Json.Float 1000.);
+    parses "integral with a dot is Float" "2.0" (Json.Float 2.0);
+    Alcotest.test_case "error names its byte offset" `Quick (fun () ->
+        match Json.of_string "[1, x]" with
+        | Error msg ->
+          Alcotest.(check string) "message" "unexpected character 'x' at byte 4"
+            msg
+        | Ok _ -> Alcotest.fail "parsed [1, x]");
+    Alcotest.test_case "member: first binding, objects only" `Quick (fun () ->
+        let j = Json.Obj [ ("k", Json.Int 1); ("k", Json.Int 2) ] in
+        Alcotest.(check bool) "first" true (Json.member j "k" = Some (Json.Int 1));
+        Alcotest.(check bool) "list" true
+          (Json.member (Json.List [ j ]) "k" = None));
+  ]
+
 let gen_json : Json.t QCheck2.Gen.t =
   QCheck2.Gen.(
     let key = string_size ~gen:(char_range 'a' 'z') (int_range 1 6) in
@@ -227,7 +254,8 @@ let suites =
         Alcotest.test_case "rendering" `Quick test_json_render;
         Alcotest.test_case "parsing" `Quick test_json_parse;
         Alcotest.test_case "parse errors" `Quick test_json_parse_errors;
-      ] );
+      ]
+      @ json_value_cases );
     ( "obs.registry",
       [
         Alcotest.test_case "counters" `Quick test_counters;

@@ -9,4 +9,4 @@ let () =
    @ Test_core.suites
    @ Test_globals.suites @ Test_persist.suites @ Test_workload.suites
    @ Test_exec.suites @ Test_search.suites @ Test_codelayout.suites
-   @ Test_serve.suites)
+   @ Test_serve.suites @ Test_bench.suites)
