@@ -988,8 +988,8 @@ let verify_cmd =
   let run () =
     Printf.printf
       "exhaustive coherence verification: every interleaving of every \
-       pinned small config,\nboth backends + trace oracle checked on every \
-       transition\n";
+       pinned small config,\nkernel against spec + trace oracle checked on \
+       every transition\n";
     Printf.printf "%-24s %8s %8s %8s %6s %8s\n" "config" "states" "pinned"
       "edges" "depth" "oracle";
     let ok =

@@ -1,4 +1,5 @@
-(** Cache-coherence controller over all CPUs of a machine.
+(** Cache-coherence controller over all CPUs of a machine: the simulator's
+    memory-system kernel.
 
     Two invalidation-based protocols are implemented (the paper's machines
     use MESI-family protocols; §1 cites MESI, MSI, MOSI, MOESI):
@@ -7,8 +8,8 @@
       read and is written back at that point;
     - {b MOESI}: a Modified line downgrades to Owned, keeps supplying dirty
       data cache-to-cache, and writes back only on eviction or
-      invalidation — fewer writebacks, same invalidation behaviour. An
-      ablation bench compares the two.
+      invalidation. The [ablation-protocol] bench section measures the
+      two side by side.
 
     The protocol operates at cache-line (coherence-block) granularity, as
     on the Itanium systems of the paper (§1: "The coherence protocol does
@@ -20,7 +21,10 @@
     per-CPU statistics. Latencies come from the machine {!Topology}: hits
     cost [l1_hit]; misses cost a cache-to-cache transfer from the
     owner/nearest sharer, or a memory fetch; invalidating writes
-    additionally pay the farthest-holder round trip.
+    additionally pay the farthest-holder round trip. Every cache is
+    set-associative with true LRU; a hit and every state change of a
+    resident line (a remote downgrade, an upgrade) make it most recently
+    used.
 
     False-sharing classification: when a write invalidates a remote copy,
     the writer's byte interval within the line is recorded against the
@@ -32,31 +36,42 @@
     evicted its pending hints are dropped, so a much-later re-fetch counts
     as a capacity miss rather than a stale sharing miss.
 
-    Two interchangeable implementations sit behind this interface:
+    {b One kernel, one spec.} This module is the only implementation the
+    simulator runs. Its semantics are written down a second time, as
+    plainly as possible, in {!Coherence_spec}: a persistent model with the
+    directory derived from the cache states. {!Modelcheck} explores the
+    spec exhaustively on small configurations and checks this kernel on
+    every edge; the [sim.kernel.*] suites compare the two on random traces
+    across protocols, topologies (over 62 CPUs included), associativities,
+    the I-cache and the multi-level hierarchy.
 
-    - {!Flat} (default): the flat, allocation-free kernel ({!Memkern}) —
-      packed int-array caches, bitmask sharer sets, open-addressing side
-      tables. This is what {!Machine} (and so slayout, bench and the trace
-      oracle) rides.
-    - {!Reference}: the boxed Hashtbl/list implementation, kept as the
-      readable spec and differential oracle. The QCheck2 suites drive
-      random traces through both and demand identical statistics,
-      latencies and holder sets. *)
+    {b Representation.} The access path allocates nothing:
+    - caches are one int array of packed [line lsl 2 lor state] words
+      indexed by [(cpu, set, way)], with true-LRU order kept as array-index
+      chains, and a per-CPU {!Slo_util.Flat_tab} from line to slot;
+    - directory entries live in a growable pool of parallel int arrays;
+      the sharer set is a bitmask of 62-bit words, so machines up to 62
+      CPUs use single-word mask arithmetic and larger ones (the
+      Superdome's 128) take the same code over 2–3 words;
+    - invalidation hints and the touched set are {!Slo_util.Flat_tab}s
+      under packed int keys. *)
 
 type protocol = Mesi | Moesi
 
-type backend =
-  | Flat  (** flat allocation-free kernel, {!Memkern} *)
-  | Reference  (** boxed oracle implementation *)
+(** A resident line's coherence state. *)
+type state =
+  | Modified
+  | Owned  (** dirty but shared — MOESI only *)
+  | Exclusive
+  | Shared
 
 type t
 
 (** Instruction-cache geometry for the optional fetch side (the code-layout
     subsystem). I-caches are private per CPU and coherence-free: code is
     read-only, so there are no states, no directory and no writebacks —
-    just presence and true LRU. Both backends implement it and the
-    differential suites compare them. *)
-type icache = Memkern.icache = {
+    just presence and true LRU. *)
+type icache = {
   i_lines : int;  (** per-CPU capacity in I-cache lines *)
   i_ways : int option;  (** associativity; [None] = fully associative *)
   i_line_size : int;  (** I-cache line size in bytes *)
@@ -65,18 +80,51 @@ type icache = Memkern.icache = {
 (** Multi-level hierarchy geometry. When given, every CPU gets a private
     L1 residency filter in front of its coherent cache (which becomes the
     L2), and every topology cell ({!Topology.num_cells}) gets a shared
-    victim LLC holding lines whose last L2 copy died. L1 hits cost
+    victim LLC. The L1 is strictly inclusive in the L2 (back-invalidated
+    whenever a line leaves the L2); the LLC is exclusive of the whole L2
+    layer — a line enters a cell's LLC only when its last L2 copy dies,
+    and is consumed again by the next L2 fill anywhere, so an LLC line can
+    never be stale and at most one cell holds any line. L1 hits cost
     [l1_hit]; L1-miss/L2-hits cost [l2_hit]; an L2 miss with no cached
     copy anywhere probes the LLCs and pays the topological distance to the
     holding cell (capped at memory latency) — the asymmetric local/remote
-    cliff the paper's Superdome results hinge on. Both backends implement
-    it and the differential suites compare them level by level. *)
-type hierarchy = Memkern.hierarchy = {
+    cliff the paper's Superdome results hinge on. Line size is the data
+    [line_size]. *)
+type hierarchy = {
   h_l1_lines : int;  (** per-CPU L1 capacity in lines *)
   h_l1_ways : int option;  (** L1 associativity; [None] = fully assoc. *)
   h_llc_lines : int;  (** per-cell LLC capacity in lines *)
   h_llc_ways : int option;  (** LLC associativity *)
 }
+
+(** A validated cache shape: [s_sets] sets of [s_ways] ways. *)
+type shape = { s_sets : int; s_ways : int }
+
+(** A validated memory-system geometry: the coherent cache's shape, and
+    the I-cache's shape and line size, and the L1 and LLC shapes, when
+    those are simulated. *)
+type geometry = {
+  g_line_size : int;
+  g_cache : shape;
+  g_icache : (shape * int) option;
+  g_hierarchy : (shape * shape) option;
+}
+
+val geometry :
+  line_size:int ->
+  cache_capacity:int ->
+  ?ways:int ->
+  ?icache:icache ->
+  ?hierarchy:hierarchy ->
+  unit ->
+  geometry
+(** The geometry check {!create} and {!Coherence_spec.create} share.
+    [ways] defaults to fully associative, and so do the I-cache's and the
+    hierarchy's.
+    @raise Invalid_argument on a non-positive size or line count, or an
+    associativity that is not positive or does not divide its cache's
+    capacity (for the data cache, the I-cache or either hierarchy
+    level). *)
 
 val create :
   Topology.t ->
@@ -86,27 +134,25 @@ val create :
   ?icache:icache ->
   ?hierarchy:hierarchy ->
   ?protocol:protocol ->
-  ?backend:backend ->
   unit ->
   t
-(** [ways] defaults to fully associative; [protocol] to {!Mesi}; [backend]
-    to {!Flat}; [icache] to absent (no instruction side is simulated);
-    [hierarchy] to absent (a single private cache level per CPU).
-    @raise Invalid_argument on non-positive sizes or invalid
-    associativity (for the data cache, the I-cache or the hierarchy). *)
+(** [protocol] defaults to {!Mesi}; [icache] to absent (no instruction
+    side is simulated); [hierarchy] to absent (a single private cache
+    level per CPU).
+    @raise Invalid_argument as {!geometry} does. *)
 
 val line_size : t -> int
 val topology : t -> Topology.t
 val protocol : t -> protocol
-val backend : t -> backend
 
 val access : t -> cpu:int -> addr:int -> size:int -> is_write:bool -> int
 (** Perform one access of [size] bytes at byte address [addr] by [cpu];
     returns its latency in cycles. Accesses must not straddle a line
     boundary (the layout engine never produces such accesses for properly
     aligned fields; arrays are accessed element-wise).
-    @raise Invalid_argument if the access straddles a line or [cpu] is out
-    of range. *)
+    @raise Invalid_argument if [cpu] is out of range, [size <= 0],
+    [addr < 0] or the access straddles a line. The check comes before any
+    statistic moves. *)
 
 val has_icache : t -> bool
 
@@ -125,14 +171,13 @@ val ifetch : t -> cpu:int -> addr:int -> size:int -> int
 
 val icache_resident : t -> cpu:int -> line:int -> bool
 (** Whether the I-cache line is resident in [cpu]'s I-cache (false when no
-    I-cache is configured). Introspection for the differential tests. *)
+    I-cache is configured). *)
 
 val has_hierarchy : t -> bool
 
 val l1_resident : t -> cpu:int -> line:int -> bool
 (** Whether the line is resident in [cpu]'s private L1 filter (false when
-    no hierarchy is configured). Introspection for the differential
-    tests. *)
+    no hierarchy is configured). *)
 
 val llc_cell : t -> line:int -> int option
 (** The cell whose victim LLC holds the line — at most one by the LLC
@@ -145,37 +190,52 @@ val stats : t -> cpu:int -> Sim_stats.t
 val total_stats : t -> Sim_stats.t
 
 val check_invariants : t -> unit
-(** Protocol invariants, used by property tests: at most one M/E/O holder
-    per line; an M/E holder excludes sharers; the owner is never in the
-    sharer set; every sharer holds S; MESI never produces Owned; every
-    cached line is directory-tracked consistently; no invalidation hint
-    outlives its line's directory entry. The {!Flat} backend additionally
-    checks its representation (LRU chains, slot tables, free lists).
+(** Protocol invariants, used by property tests: the owner holds M/E/O
+    (and O only under MOESI), an M/E owner excludes sharers, the owner is
+    never in the sharer set, every sharer holds S, every cached line is
+    directory-tracked, and every pending hint belongs to a live directory
+    entry. Then the representation: LRU chains and fill counts agree, the
+    line→slot tables agree with the slot words, and free chains account
+    for every way. Under the multi-level hierarchy also L1 inclusion
+    (every L1 line has a live L2 copy) and LLC exclusivity (no LLC line
+    has a directory entry; the line→cell index is exact).
     @raise Invalid_argument describing the violated invariant. *)
 
 val holders : t -> line:int -> int list
 (** CPUs currently holding the line (any state), sorted. *)
 
 val owner : t -> line:int -> int option
-(** The directory's M/E/O owner of the line, if any (introspection for the
-    invariant property tests). *)
+(** The directory's M/E/O owner of the line, if any. *)
 
 val sharers : t -> line:int -> int list
 (** The directory's sharer set for the line, ascending. *)
 
-val cache_state : t -> cpu:int -> line:int -> Cache.state option
+val cache_state : t -> cpu:int -> line:int -> state option
 (** The given CPU's cached state of the line ([None] = not resident). *)
 
 val inv_hint : t -> cpu:int -> line:int -> (int * int) option
 (** The pending invalidation hint recorded against [cpu] for [line] — the
     byte interval [(off, len)] of the write that invalidated that CPU's
-    copy, or [None]. Drives the model checker's classifier conformance
-    checks; mirrors the classifier state of both backends. *)
+    copy, or [None] if the CPU's next miss on the line would not be
+    classified as a sharing miss. *)
 
 val touched : t -> line:int -> bool
 (** Whether the line has ever been accessed anywhere (the cold-miss
     classifier state). *)
 
-val kstats : t -> Memkern.kstats option
-(** Kernel-health numbers ([Some] only for the {!Flat} backend) — feeds
-    the [sim.kernel.*] observability counters. *)
+(** Kernel-health numbers behind the [sim.kernel.*] observability
+    counters; cumulative since [create]. *)
+type kstats = {
+  k_dir_live : int;  (** directory entries currently allocated *)
+  k_dir_peak : int;  (** high-water mark of live directory entries *)
+  k_hint_drops : int;
+      (** stale invalidation hints dropped because the last cached copy of
+          their line was evicted (the sharing episode ended) *)
+  k_probe_steps : int;
+      (** cumulative {!Slo_util.Flat_tab} probe steps beyond the home slot *)
+  k_llc_fills : int;
+      (** lines dropped into a cell LLC on last-copy eviction (0 unless
+          the multi-level hierarchy is simulated) *)
+}
+
+val kstats : t -> kstats

@@ -24,7 +24,6 @@ type config = {
   load_base : int;
   store_base : int;
   trace : bool;
-  backend : Coherence.backend;
   icache : Coherence.icache option;
   hierarchy : Coherence.hierarchy option;
 }
@@ -40,8 +39,8 @@ type trace_event = {
 let default_config topology =
   { topology; line_size = 128; cache_lines = 4096; cache_ways = None;
     protocol = Coherence.Mesi; sample_period = None; seed = 42;
-    load_base = 2; store_base = 8; trace = false;
-    backend = Coherence.Flat; icache = None; hierarchy = None }
+    load_base = 2; store_base = 8; trace = false; icache = None;
+    hierarchy = None }
 
 let call_overhead = 5
 
@@ -240,7 +239,7 @@ let create config program =
       Coherence.create config.topology ~line_size:config.line_size
         ~cache_capacity:config.cache_lines ?ways:config.cache_ways
         ?icache:config.icache ?hierarchy:config.hierarchy
-        ~protocol:config.protocol ~backend:config.backend ();
+        ~protocol:config.protocol ();
     memory = Flat_tab.create ~capacity:4096 ();
     layouts;
     arena_next = 0;
@@ -661,10 +660,10 @@ let rec bind_args frame ~reg ~inst params args =
     bind_args frame ~reg ~inst:(inst + 1) params args
   | _ -> assert false (* validated in add_thread *)
 
-let trace_access t thread addr (acc : caccess) ~is_write =
+let trace_access t thread addr ~size ~is_write =
   t.trace_rev <-
     { t_cpu = thread.t_cpu; t_itc = thread.t_clock; t_addr = addr;
-      t_size = acc.c_elem; t_is_write = is_write }
+      t_size = size; t_is_write = is_write }
     :: t.trace_rev
 
 (* Execute one instruction (or terminator) of [thread]; returns its cost in
@@ -703,7 +702,8 @@ let step t thread =
         1 + c
       | CLoad { dst; acc } ->
         let addr = address_of frame acc in
-        if t.config.trace then trace_access t thread addr acc ~is_write:false;
+        if t.config.trace then
+          trace_access t thread addr ~size:acc.c_elem ~is_write:false;
         let latency =
           Coherence.access t.coherence ~cpu:thread.t_cpu ~addr ~size:acc.c_elem
             ~is_write:false
@@ -712,7 +712,8 @@ let step t thread =
         t.config.load_base + latency
       | CStore { acc; src } ->
         let addr = address_of frame acc in
-        if t.config.trace then trace_access t thread addr acc ~is_write:true;
+        if t.config.trace then
+          trace_access t thread addr ~size:acc.c_elem ~is_write:true;
         let v = eval_cexpr frame.f_regs src in
         let latency =
           Coherence.access t.coherence ~cpu:thread.t_cpu ~addr ~size:acc.c_elem
@@ -721,12 +722,14 @@ let step t thread =
         Flat_tab.set t.memory addr v;
         t.config.store_base + latency
       | CGload { dst; addr; size } ->
+        if t.config.trace then trace_access t thread addr ~size ~is_write:false;
         let latency =
           Coherence.access t.coherence ~cpu:thread.t_cpu ~addr ~size ~is_write:false
         in
         frame.f_regs.(dst) <- Flat_tab.find t.memory addr ~default:0;
         t.config.load_base + latency
       | CGstore { addr; size; src } ->
+        if t.config.trace then trace_access t thread addr ~size ~is_write:true;
         let v = eval_cexpr frame.f_regs src in
         let latency =
           Coherence.access t.coherence ~cpu:thread.t_cpu ~addr ~size ~is_write:true
@@ -900,24 +903,22 @@ let run t =
     Obs.incr ~by:stats.Sim_stats.llc_local_hits "sim.llc.local_hits";
     Obs.incr ~by:stats.Sim_stats.llc_remote_hits "sim.llc.remote_hits"
   end;
-  (match Coherence.kstats t.coherence with
-  | Some k ->
-    Obs.incr "sim.kernel.runs";
-    Obs.incr
-      ~by:(stats.Sim_stats.loads + stats.Sim_stats.stores)
-      "sim.kernel.accesses";
-    Obs.incr ~by:k.Memkern.k_hint_drops "sim.kernel.hint_drops";
-    Obs.incr ~by:k.Memkern.k_probe_steps "sim.kernel.probe_steps";
-    if t.config.hierarchy <> None then
-      Obs.incr ~by:k.Memkern.k_llc_fills "sim.kernel.llc_fills";
-    let peak = float_of_int k.Memkern.k_dir_peak in
-    let prev =
-      match Obs.gauge "sim.kernel.dir_peak_entries" with
-      | Some g -> g
-      | None -> 0.0
-    in
-    Obs.set_gauge "sim.kernel.dir_peak_entries" (Float.max prev peak)
-  | None -> Obs.incr "sim.reference.runs");
+  let k = Coherence.kstats t.coherence in
+  Obs.incr "sim.kernel.runs";
+  Obs.incr
+    ~by:(stats.Sim_stats.loads + stats.Sim_stats.stores)
+    "sim.kernel.accesses";
+  Obs.incr ~by:k.Coherence.k_hint_drops "sim.kernel.hint_drops";
+  Obs.incr ~by:k.Coherence.k_probe_steps "sim.kernel.probe_steps";
+  if t.config.hierarchy <> None then
+    Obs.incr ~by:k.Coherence.k_llc_fills "sim.kernel.llc_fills";
+  let peak = float_of_int k.Coherence.k_dir_peak in
+  let prev =
+    match Obs.gauge "sim.kernel.dir_peak_entries" with
+    | Some g -> g
+    | None -> 0.0
+  in
+  Obs.set_gauge "sim.kernel.dir_peak_entries" (Float.max prev peak);
   {
     makespan;
     cpu_cycles;

@@ -1,23 +1,18 @@
 (* Exhaustive small-config model checker for the coherence kernel.
 
-   Three implementations of the protocol exist once this module is in the
-   picture: the flat kernel (memkern.ml), the boxed reference
-   (coherence.ml's Ref) — and the pure spec below, a third transcription
-   over plain int arrays with the directory *derived* from the cache-state
-   vector instead of stored. Deriving the directory makes several protocol
-   invariants true by construction in the spec, so any backend whose
-   directory drifts from its caches shows up as an introspection mismatch
-   rather than being silently mirrored.
-
-   The explorer is plain breadth-first search over canonical packed states;
-   each edge replays the (minimal, BFS-tree) witness prefix on both real
-   backends from scratch and demands latency, per-CPU statistics, cache
-   states, directory view, classifier hints and touched bits all agree
-   with the spec. Witness replay per edge is quadratic in depth, but the
-   accepted configs are tiny (<= 62 bits of state) so whole suites run in
-   well under a second each. *)
+   The protocol exists twice: the kernel (coherence.ml) and its spec
+   (coherence_spec.ml), whose directory is derived from the cache states
+   instead of stored. The explorer is plain breadth-first search over the
+   spec's canonical packed states. Spec states are persistent, so every
+   node keeps its own and steps it without copying. Each edge replays the
+   (minimal, BFS-tree) witness prefix on a fresh kernel and demands that
+   latency, per-CPU statistics, cache states, directory view, classifier
+   hints and touched bits all agree with the spec. Witness replay per edge
+   is quadratic in depth, but the accepted configs are tiny (<= 62 bits of
+   state) so whole suites run in well under a second each. *)
 
 module Flat_tab = Slo_util.Flat_tab
+module Spec = Coherence_spec
 
 type topo_kind = Bus | Superdome
 
@@ -55,7 +50,7 @@ type step = { v_cpu : int; v_line : int; v_off : int; v_write : bool }
 
 exception Violation of { vmsg : string; vtrace : step list }
 
-type mutation = Read_keeps_modified | Skip_last_invalidation
+type mutation = Spec.mutation = Read_keeps_modified | Skip_last_invalidation
 
 type report = {
   r_states : int;
@@ -70,288 +65,36 @@ type report = {
    sharing split. *)
 let acc_size = 8
 
-(* ---------- the pure spec ---------- *)
+let make_topo cfg =
+  match cfg.mc_topo with
+  | Bus -> Topology.bus ~cpus:cfg.mc_cpus ()
+  | Superdome -> Topology.superdome ~cpus:cfg.mc_cpus ()
 
-(* Cache-state codes; 0 must be Invalid so fresh arrays start empty. *)
-let ci = 0
+let make_spec ?mutate cfg =
+  Spec.create (make_topo cfg) ~line_size:cfg.mc_line_size
+    ~cache_capacity:cfg.mc_capacity ~ways:cfg.mc_ways ~protocol:cfg.mc_protocol
+    ?mutate ()
 
-let cm = 1
+let addr_of cfg s = (s.v_line * cfg.mc_line_size) + s.v_off
 
-let co = 2
+let spec_step cfg sp s =
+  Spec.access sp ~cpu:s.v_cpu ~addr:(addr_of cfg s) ~size:acc_size
+    ~is_write:s.v_write
 
-let ce = 3
-
-let cs = 4
-
-type spec = {
-  sc : int array;  (* cpu * m + line -> state code *)
-  sh : int array;  (* cpu * m + line -> packed hint off*(lsize+1)+len, or -1 *)
-  sto : bool array;  (* line -> ever touched *)
-  sst : Sim_stats.t array;
-}
-
-let spec_create cfg =
-  let n = cfg.mc_cpus * cfg.mc_lines in
-  {
-    sc = Array.make n ci;
-    sh = Array.make n (-1);
-    sto = Array.make cfg.mc_lines false;
-    sst = Array.init cfg.mc_cpus (fun _ -> Sim_stats.create ());
-  }
-
-let copy_stats (s : Sim_stats.t) =
-  let c = Sim_stats.create () in
-  Sim_stats.add_into c s;
-  c
-
-let spec_copy sp =
-  {
-    sc = Array.copy sp.sc;
-    sh = Array.copy sp.sh;
-    sto = Array.copy sp.sto;
-    sst = Array.map copy_stats sp.sst;
-  }
-
-let idx cfg cpu line = (cpu * cfg.mc_lines) + line
-
-let owner_of cfg sp line =
-  let o = ref (-1) in
-  for cpu = 0 to cfg.mc_cpus - 1 do
-    let c = sp.sc.(idx cfg cpu line) in
-    if c = cm || c = co || c = ce then o := cpu
-  done;
-  !o
-
-let sharers_of cfg sp line =
-  let acc = ref [] in
-  for cpu = cfg.mc_cpus - 1 downto 0 do
-    if sp.sc.(idx cfg cpu line) = cs then acc := cpu :: !acc
-  done;
-  !acc
-
-let holders_of cfg sp line =
-  let acc = ref [] in
-  for cpu = cfg.mc_cpus - 1 downto 0 do
-    if sp.sc.(idx cfg cpu line) <> ci then acc := cpu :: !acc
-  done;
-  !acc
-
-let spec_wb sp cpu =
-  sp.sst.(cpu).Sim_stats.writebacks <- sp.sst.(cpu).Sim_stats.writebacks + 1
-
-let drop_hints cfg sp line =
-  for cpu = 0 to cfg.mc_cpus - 1 do
-    sp.sh.(idx cfg cpu line) <- -1
-  done
-
-(* Mirror of Coherence.Ref.insert_line + note_eviction. The config
-   validation guarantees the victim (if any) is deterministic: either the
-   geometry never fills a set, or ways = 1 and the set's only occupant is
-   the victim. *)
-let spec_insert cfg sp cpu line st =
-  let nsets = cfg.mc_capacity / cfg.mc_ways in
-  let set = line mod nsets in
-  let occupants = ref [] in
-  for l = cfg.mc_lines - 1 downto 0 do
-    if sp.sc.(idx cfg cpu l) <> ci && l mod nsets = set then
-      occupants := l :: !occupants
-  done;
-  (if List.length !occupants >= cfg.mc_ways then begin
-     assert (cfg.mc_ways = 1);
-     let victim = List.hd !occupants in
-     let vcode = sp.sc.(idx cfg cpu victim) in
-     if vcode = cm || vcode = co then spec_wb sp cpu;
-     sp.sc.(idx cfg cpu victim) <- ci;
-     if holders_of cfg sp victim = [] then drop_hints cfg sp victim
-   end);
-  sp.sc.(idx cfg cpu line) <- st
-
-let spec_classify cfg sp ~cpu ~line ~off =
-  let st = sp.sst.(cpu) in
-  if not sp.sto.(line) then
-    st.Sim_stats.cold_misses <- st.Sim_stats.cold_misses + 1
-  else
-    let h = sp.sh.(idx cfg cpu line) in
-    if h >= 0 then begin
-      sp.sh.(idx cfg cpu line) <- -1;
-      let w_off = h / (cfg.mc_line_size + 1)
-      and w_len = h mod (cfg.mc_line_size + 1) in
-      if off < w_off + w_len && w_off < off + acc_size then
-        st.Sim_stats.true_sharing_misses <- st.Sim_stats.true_sharing_misses + 1
-      else
-        st.Sim_stats.false_sharing_misses <-
-          st.Sim_stats.false_sharing_misses + 1
-    end
-    else st.Sim_stats.capacity_misses <- st.Sim_stats.capacity_misses + 1
-
-(* Mirror of Coherence.Ref.invalidate_others. Under [Skip_last_invalidation]
-   the highest-numbered would-be victim keeps its copy — the bug the
-   mutation tests prove the checker catches. *)
-let spec_invalidate ?mutate cfg sp ~line ~writer ~hint =
-  let ow = owner_of cfg sp line in
-  let candidates =
-    (if ow >= 0 && ow <> writer then [ ow ] else [])
-    @ List.filter (fun s -> s <> writer) (sharers_of cfg sp line)
-  in
-  let skipped =
-    match mutate with
-    | Some Skip_last_invalidation when candidates <> [] ->
-      List.fold_left max (-1) candidates
-    | _ -> -1
-  in
-  List.filter_map
-    (fun v ->
-      if v = skipped then None
-      else begin
-        let vcode = sp.sc.(idx cfg v line) in
-        if vcode = cm || vcode = co then spec_wb sp v;
-        sp.sc.(idx cfg v line) <- ci;
-        sp.sh.(idx cfg v line) <- hint;
-        Some v
-      end)
-    candidates
-
-let spec_read ?mutate cfg topo sp ~cpu ~line ~off =
-  let st = sp.sst.(cpu) in
-  let l1 = (Topology.latencies topo).Topology.l1_hit in
-  if sp.sc.(idx cfg cpu line) <> ci then begin
-    st.Sim_stats.hits <- st.Sim_stats.hits + 1;
-    l1
-  end
-  else begin
-    spec_classify cfg sp ~cpu ~line ~off;
-    let ow = owner_of cfg sp line in
-    let shs = sharers_of cfg sp line in
-    let latency, st_new =
-      if ow >= 0 then begin
-        (match sp.sc.(idx cfg ow line) with
-        | c when c = cm -> (
-          match mutate with
-          | Some Read_keeps_modified -> ()  (* forget the downgrade *)
-          | _ ->
-            if cfg.mc_protocol = Coherence.Mesi then begin
-              spec_wb sp ow;
-              sp.sc.(idx cfg ow line) <- cs
-            end
-            else sp.sc.(idx cfg ow line) <- co)
-        | c when c = ce -> sp.sc.(idx cfg ow line) <- cs
-        | c when c = co -> ()
-        | _ -> assert false);
-        (Topology.transfer_latency topo ~src:ow ~dst:cpu, cs)
-      end
-      else if shs <> [] then
-        ( List.fold_left
-            (fun acc s ->
-              min acc (Topology.transfer_latency topo ~src:s ~dst:cpu))
-            max_int shs,
-          cs )
-      else (Topology.memory_latency topo, ce)
-    in
-    spec_insert cfg sp cpu line st_new;
-    latency
-  end
-
-let spec_write ?mutate cfg topo sp ~cpu ~line ~off =
-  let st = sp.sst.(cpu) in
-  let l1 = (Topology.latencies topo).Topology.l1_hit in
-  let hint = (off * (cfg.mc_line_size + 1)) + acc_size in
-  let c = sp.sc.(idx cfg cpu line) in
-  if c = cm then begin
-    st.Sim_stats.hits <- st.Sim_stats.hits + 1;
-    l1
-  end
-  else if c = ce then begin
-    sp.sc.(idx cfg cpu line) <- cm;
-    st.Sim_stats.hits <- st.Sim_stats.hits + 1;
-    l1
-  end
-  else if c = cs || c = co then begin
-    st.Sim_stats.hits <- st.Sim_stats.hits + 1;
-    st.Sim_stats.upgrades <- st.Sim_stats.upgrades + 1;
-    let victims = spec_invalidate ?mutate cfg sp ~line ~writer:cpu ~hint in
-    st.Sim_stats.invalidations <-
-      st.Sim_stats.invalidations + List.length victims;
-    sp.sc.(idx cfg cpu line) <- cm;
-    max l1 (Topology.invalidation_latency topo ~writer:cpu ~holders:victims)
-  end
-  else begin
-    spec_classify cfg sp ~cpu ~line ~off;
-    let ow = owner_of cfg sp line in
-    let shs = sharers_of cfg sp line in
-    let fetch =
-      if ow >= 0 then Topology.transfer_latency topo ~src:ow ~dst:cpu
-      else if shs <> [] then
-        List.fold_left
-          (fun acc s -> min acc (Topology.transfer_latency topo ~src:s ~dst:cpu))
-          max_int shs
-      else Topology.memory_latency topo
-    in
-    let victims = spec_invalidate ?mutate cfg sp ~line ~writer:cpu ~hint in
-    st.Sim_stats.invalidations <-
-      st.Sim_stats.invalidations + List.length victims;
-    spec_insert cfg sp cpu line cm;
-    max fetch (Topology.invalidation_latency topo ~writer:cpu ~holders:victims)
-  end
-
-let spec_access ?mutate cfg topo sp { v_cpu; v_line; v_off; v_write } =
-  let st = sp.sst.(v_cpu) in
-  if v_write then st.Sim_stats.stores <- st.Sim_stats.stores + 1
-  else st.Sim_stats.loads <- st.Sim_stats.loads + 1;
-  let lat =
-    if v_write then spec_write ?mutate cfg topo sp ~cpu:v_cpu ~line:v_line ~off:v_off
-    else spec_read ?mutate cfg topo sp ~cpu:v_cpu ~line:v_line ~off:v_off
-  in
-  sp.sto.(v_line) <- true;
-  st.Sim_stats.stall_cycles <- st.Sim_stats.stall_cycles + lat;
-  lat
-
-(* Global protocol invariants over a spec state. [last] is the step that
-   produced the state, for the write postcondition ("no stale dirty copy
-   after an invalidating write"). Returns the first violation. *)
-let spec_check cfg sp ~last =
-  let result = ref None in
-  let fail fmt = Format.kasprintf (fun m -> if !result = None then result := Some m) fmt in
-  for line = 0 to cfg.mc_lines - 1 do
-    let owners = ref [] and resident = ref 0 in
-    for cpu = 0 to cfg.mc_cpus - 1 do
-      let c = sp.sc.(idx cfg cpu line) in
-      if c <> ci then incr resident;
-      if c = cm || c = co || c = ce then owners := cpu :: !owners;
-      if c = co && cfg.mc_protocol = Coherence.Mesi then
-        fail "line %d: cpu %d holds Owned under MESI" line cpu
-    done;
-    (match !owners with
-    | [] | [ _ ] -> ()
-    | l -> fail "line %d: multiple M/E/O holders (%d)" line (List.length l));
-    (match !owners with
-    | [ o ] ->
-      let c = sp.sc.(idx cfg o line) in
-      if (c = cm || c = ce) && !resident > 1 then
-        fail "line %d: cpu %d holds %s but other copies exist" line o
-          (if c = cm then "M" else "E")
-    | _ -> ());
-    let live = !resident > 0 in
-    for cpu = 0 to cfg.mc_cpus - 1 do
-      if sp.sh.(idx cfg cpu line) >= 0 then begin
-        if not live then
-          fail "line %d: hint for cpu %d outlives the directory entry" line cpu;
-        if not sp.sto.(line) then
-          fail "line %d: hint for cpu %d on an untouched line" line cpu
-      end
-    done;
-    if live && not sp.sto.(line) then fail "line %d: cached but untouched" line
-  done;
-  (match last with
-  | Some { v_cpu; v_line; v_write = true; _ } ->
-    if sp.sc.(idx cfg v_cpu v_line) <> cm then
-      fail "after write: cpu %d does not hold line %d in M" v_cpu v_line;
-    for cpu = 0 to cfg.mc_cpus - 1 do
-      if cpu <> v_cpu && sp.sc.(idx cfg cpu v_line) <> ci then
-        fail "after write by cpu %d: stale copy of line %d at cpu %d" v_cpu
-          v_line cpu
-    done
-  | _ -> ());
-  !result
+(* The spec's protocol invariants, then the write postcondition for the
+   step [last] that produced the state: the writer ends as the sole
+   holder, in M (no stale copy survives an invalidating write). *)
+let spec_check sp ~last =
+  match (Spec.violation sp, last) with
+  | (Some _ as v), _ -> v
+  | None, Some { v_cpu; v_line; v_write = true; _ } ->
+    if Spec.cache_state sp ~cpu:v_cpu ~line:v_line <> Some Coherence.Modified then
+      Some (Printf.sprintf "after write: cpu %d does not hold line %d in M" v_cpu v_line)
+    else if Spec.holders sp ~line:v_line <> [ v_cpu ] then
+      Some
+        (Printf.sprintf "after write by cpu %d: stale copy of line %d" v_cpu v_line)
+    else None
+  | None, _ -> None
 
 (* ---------- canonical packing ---------- *)
 
@@ -363,21 +106,32 @@ let off_index cfg off =
   in
   go 0 cfg.mc_offsets
 
+let state_code = function
+  | None -> 0
+  | Some Coherence.Modified -> 1
+  | Some Coherence.Owned -> 2
+  | Some Coherence.Exclusive -> 3
+  | Some Coherence.Shared -> 4
+
 (* 5 bits per (cpu, line): 3 for the state code, 2 for the pending-hint
    code (0 = none, 1 + offset index otherwise); then 1 bit per line for
-   touched. Config validation keeps the total <= 62 bits. *)
+   touched. Config validation keeps the total <= 62 bits. LRU order is
+   left out: validation also makes it unobservable. *)
 let pack cfg sp =
   let acc = ref 0 in
   for cpu = 0 to cfg.mc_cpus - 1 do
     for line = 0 to cfg.mc_lines - 1 do
-      let i = idx cfg cpu line in
-      let h = sp.sh.(i) in
-      let hc = if h < 0 then 0 else 1 + off_index cfg (h / (cfg.mc_line_size + 1)) in
-      acc := (!acc lsl 5) lor (sp.sc.(i) lsl 2) lor hc
+      let hc =
+        match Spec.inv_hint sp ~cpu ~line with
+        | None -> 0
+        | Some (off, _) -> 1 + off_index cfg off
+      in
+      acc :=
+        (!acc lsl 5) lor (state_code (Spec.cache_state sp ~cpu ~line) lsl 2) lor hc
     done
   done;
   for line = 0 to cfg.mc_lines - 1 do
-    acc := (!acc lsl 1) lor if sp.sto.(line) then 1 else 0
+    acc := (!acc lsl 1) lor if Spec.touched sp ~line then 1 else 0
   done;
   !acc
 
@@ -399,10 +153,8 @@ let validate cfg =
   let fail fmt = Format.kasprintf invalid_arg fmt in
   if cfg.mc_cpus < 2 then fail "Modelcheck: need >= 2 CPUs";
   if cfg.mc_lines < 1 then fail "Modelcheck: need >= 1 line";
-  if cfg.mc_line_size <= 0 then fail "Modelcheck: line_size <= 0";
-  if cfg.mc_capacity < 1 then fail "Modelcheck: capacity < 1";
-  if cfg.mc_ways < 1 || cfg.mc_capacity mod cfg.mc_ways <> 0 then
-    fail "Modelcheck: ways must divide capacity";
+  (* the cache geometry: the check the kernel and the spec share *)
+  ignore (make_spec cfg : Spec.t);
   if cfg.mc_offsets = [] then fail "Modelcheck: no offsets";
   if List.length (List.sort_uniq compare cfg.mc_offsets)
      <> List.length cfg.mc_offsets
@@ -421,26 +173,19 @@ let validate cfg =
   let bits = (cfg.mc_cpus * cfg.mc_lines * 5) + cfg.mc_lines in
   if bits > 62 then fail "Modelcheck: %d bits of packed state (max 62)" bits
 
-let make_topo cfg =
-  match cfg.mc_topo with
-  | Bus -> Topology.bus ~cpus:cfg.mc_cpus ()
-  | Superdome -> Topology.superdome ~cpus:cfg.mc_cpus ()
-
 (* ---------- trace replay (spec only; drives shrinking and tests) ---------- *)
 
 let spec_violation ?mutate cfg trace =
   validate cfg;
-  let topo = make_topo cfg in
-  let sp = spec_create cfg in
-  let rec go = function
+  let rec go sp = function
     | [] -> None
     | s :: tl -> (
-      ignore (spec_access ?mutate cfg topo sp s);
-      match spec_check cfg sp ~last:(Some s) with
+      let sp, _ = spec_step cfg sp s in
+      match spec_check sp ~last:(Some s) with
       | Some _ as v -> v
-      | None -> go tl)
+      | None -> go sp tl)
   in
-  go trace
+  go (make_spec ?mutate cfg) trace
 
 (* Greedy 1-minimal shrinking: repeatedly drop any single step whose
    removal preserves the violation, until no single removal does. *)
@@ -457,134 +202,53 @@ let shrink ~still_fails trace =
   in
   pass trace
 
-(* ---------- backend conformance ---------- *)
+(* ---------- kernel conformance ---------- *)
 
-let state_code = function
-  | None -> ci
-  | Some Cache.Modified -> cm
-  | Some Cache.Owned -> co
-  | Some Cache.Exclusive -> ce
-  | Some Cache.Shared -> cs
-
-let stats_diff name (a : Sim_stats.t) (b : Sim_stats.t) =
-  let fields =
-    [
-      ("loads", a.loads, b.loads);
-      ("stores", a.stores, b.stores);
-      ("hits", a.hits, b.hits);
-      ("cold", a.cold_misses, b.cold_misses);
-      ("capacity", a.capacity_misses, b.capacity_misses);
-      ("true_fs", a.true_sharing_misses, b.true_sharing_misses);
-      ("false_fs", a.false_sharing_misses, b.false_sharing_misses);
-      ("upgrades", a.upgrades, b.upgrades);
-      ("invalidations", a.invalidations, b.invalidations);
-      ("writebacks", a.writebacks, b.writebacks);
-      ("stall", a.stall_cycles, b.stall_cycles);
-    ]
-  in
-  List.fold_left
-    (fun acc (f, x, y) ->
-      match acc with
-      | Some _ -> acc
-      | None ->
-        if x <> y then
-          Some (Printf.sprintf "%s: %s spec=%d backend=%d" name f x y)
-        else None)
-    None fields
-
-let backend_name = function Coherence.Flat -> "flat" | Coherence.Reference -> "ref"
-
-(* Replay [trace] on one backend from scratch and compare the end state
-   (and the last access's latency) against the spec. *)
-let conform cfg topo backend trace sp expected_lat =
-  let c =
-    Coherence.create topo ~line_size:cfg.mc_line_size
+(* Replay [trace] on a fresh kernel and compare its end state with the
+   spec state [sp] the trace reaches, and its last latency with [lat],
+   the spec's charge for that transition (-1: the initial state). *)
+let conform cfg trace sp lat =
+  let k =
+    Coherence.create (make_topo cfg) ~line_size:cfg.mc_line_size
       ~cache_capacity:cfg.mc_capacity ~ways:cfg.mc_ways
-      ~protocol:cfg.mc_protocol ~backend ()
+      ~protocol:cfg.mc_protocol ()
   in
-  let b = backend_name backend in
-  let last_lat = ref (-1) in
-  List.iter
-    (fun { v_cpu; v_line; v_off; v_write } ->
-      last_lat :=
-        Coherence.access c ~cpu:v_cpu
-          ~addr:((v_line * cfg.mc_line_size) + v_off)
-          ~size:acc_size ~is_write:v_write)
-    trace;
-  let result = ref None in
-  let put m = if !result = None then result := Some m in
-  if expected_lat >= 0 && !last_lat <> expected_lat then
-    put
-      (Printf.sprintf "%s: latency %d, spec charged %d for this transition" b
-         !last_lat expected_lat);
-  (try Coherence.check_invariants c
-   with Invalid_argument m -> put (Printf.sprintf "%s: %s" b m));
-  for cpu = 0 to cfg.mc_cpus - 1 do
-    (match stats_diff (Printf.sprintf "%s cpu %d" b cpu) sp.sst.(cpu)
-             (Coherence.stats c ~cpu)
-     with
-    | Some m -> put m
-    | None -> ());
-    for line = 0 to cfg.mc_lines - 1 do
-      let want = sp.sc.(idx cfg cpu line) in
-      let got = state_code (Coherence.cache_state c ~cpu ~line) in
-      if want <> got then
-        put
-          (Printf.sprintf "%s: cpu %d line %d cache state code %d, spec %d" b
-             cpu line got want);
-      let wanth = sp.sh.(idx cfg cpu line) in
-      let goth =
-        match Coherence.inv_hint c ~cpu ~line with
-        | None -> -1
-        | Some (off, len) -> (off * (cfg.mc_line_size + 1)) + len
-      in
-      if wanth <> goth then
-        put
-          (Printf.sprintf "%s: cpu %d line %d hint %d, spec %d" b cpu line goth
-             wanth)
-    done
-  done;
-  for line = 0 to cfg.mc_lines - 1 do
-    let want_owner = owner_of cfg sp line in
-    let got_owner = match Coherence.owner c ~line with None -> -1 | Some o -> o in
-    if want_owner <> got_owner then
-      put
-        (Printf.sprintf "%s: line %d directory owner %d, spec %d" b line
-           got_owner want_owner);
-    if Coherence.sharers c ~line <> sharers_of cfg sp line then
-      put (Printf.sprintf "%s: line %d sharer set disagrees with spec" b line);
-    if Coherence.holders c ~line <> holders_of cfg sp line then
-      put (Printf.sprintf "%s: line %d holder set disagrees with spec" b line);
-    if Coherence.touched c ~line <> sp.sto.(line) then
-      put (Printf.sprintf "%s: line %d touched bit disagrees with spec" b line)
-  done;
-  !result
-
-(* Full per-edge check on both backends; [None] latency means "end state
-   only" (used for the initial state). *)
-let conform_both cfg topo trace sp expected_lat =
-  match conform cfg topo Coherence.Flat trace sp expected_lat with
-  | Some _ as v -> v
-  | None -> conform cfg topo Coherence.Reference trace sp expected_lat
+  let last =
+    List.fold_left
+      (fun _ s ->
+        Coherence.access k ~cpu:s.v_cpu ~addr:(addr_of cfg s) ~size:acc_size
+          ~is_write:s.v_write)
+      (-1) trace
+  in
+  if last <> lat then
+    Some
+      (Printf.sprintf "kernel: latency %d, spec charged %d for this transition"
+         last lat)
+  else
+    match Coherence.check_invariants k with
+    | exception Invalid_argument m -> Some ("kernel: " ^ m)
+    | () ->
+      Option.map
+        (fun m -> "kernel: " ^ m)
+        (Spec.mismatch sp k ~lines:(List.init cfg.mc_lines Fun.id))
 
 (* Replay a whole trace doing spec + conformance checks at every step —
    the predicate the shrinker uses for conformance violations, so the
    minimized witness still demonstrates a real disagreement. *)
-let trace_violation cfg topo trace =
-  let sp = spec_create cfg in
-  let rec go done_rev = function
+let trace_violation cfg trace =
+  let rec go sp done_rev = function
     | [] -> None
     | s :: tl -> (
-      let lat = spec_access cfg topo sp s in
+      let sp, lat = spec_step cfg sp s in
       let done_rev = s :: done_rev in
-      match spec_check cfg sp ~last:(Some s) with
+      match spec_check sp ~last:(Some s) with
       | Some _ as v -> v
       | None -> (
-        match conform_both cfg topo (List.rev done_rev) sp lat with
+        match conform cfg (List.rev done_rev) sp lat with
         | Some _ as v -> v
-        | None -> go done_rev tl))
+        | None -> go sp done_rev tl))
   in
-  go [] trace
+  go (make_spec cfg) [] trace
 
 (* ---------- the oracle cross-check ---------- *)
 
@@ -599,20 +263,20 @@ let oracle_agrees cfg trace sp =
   in
   let events =
     List.mapi
-      (fun i { v_cpu; v_line; v_off; v_write } ->
+      (fun i s ->
         {
-          Machine.t_cpu = v_cpu;
+          Machine.t_cpu = s.v_cpu;
           t_itc = i;
-          t_addr = (v_line * cfg.mc_line_size) + v_off;
+          t_addr = addr_of cfg s;
           t_size = acc_size;
-          t_is_write = v_write;
+          t_is_write = s.v_write;
         })
       trace
   in
   let o = Trace_oracle.analyze ~resolve ~line_size:cfg.mc_line_size events in
-  let sum f = Array.fold_left (fun acc s -> acc + f s) 0 sp.sst in
-  let want_t = sum (fun s -> s.Sim_stats.true_sharing_misses)
-  and want_f = sum (fun s -> s.Sim_stats.false_sharing_misses) in
+  let st = Spec.total_stats sp in
+  let want_t = st.Sim_stats.true_sharing_misses
+  and want_f = st.Sim_stats.false_sharing_misses in
   let got_t = Trace_oracle.total_true_sharing o
   and got_f = Trace_oracle.total_false_sharing o in
   if got_t <> want_t || got_f <> want_f then
@@ -624,11 +288,10 @@ let oracle_agrees cfg trace sp =
 
 (* ---------- exploration ---------- *)
 
-type node = { n_parent : int; n_action : int; n_depth : int; n_spec : spec }
+type node = { n_parent : int; n_action : int; n_depth : int; n_spec : Spec.t }
 
 let run ?mutate ?(max_states = 200_000) cfg =
   validate cfg;
-  let topo = make_topo cfg in
   let noffs = List.length cfg.mc_offsets in
   let offs = Array.of_list cfg.mc_offsets in
   let nact = cfg.mc_cpus * cfg.mc_lines * noffs * 2 in
@@ -642,8 +305,8 @@ let run ?mutate ?(max_states = 200_000) cfg =
         let cpu = i / cfg.mc_lines in
         { v_cpu = cpu; v_line = line; v_off = offs.(oi); v_write = w = 1 })
   in
-  let check_backends = mutate = None in
-  let oracle_on = check_backends && evict_free cfg in
+  let check_kernel = mutate = None in
+  let oracle_on = check_kernel && evict_free cfg in
   let nodes : (int, node) Hashtbl.t = Hashtbl.create 1024 in
   let visited = Flat_tab.create ~capacity:1024 () in
   let queue = Queue.create () in
@@ -665,7 +328,7 @@ let run ?mutate ?(max_states = 200_000) cfg =
     let still_fails tr =
       match mutate with
       | Some _ -> spec_violation ?mutate cfg tr <> None
-      | None -> trace_violation cfg topo tr <> None
+      | None -> trace_violation cfg tr <> None
     in
     let trace = if still_fails trace then shrink ~still_fails trace else trace in
     raise (Violation { vmsg = msg; vtrace = trace })
@@ -690,11 +353,12 @@ let run ?mutate ?(max_states = 200_000) cfg =
     end
   in
   let transitions = ref 0 in
-  add_state (-1) (-1) (spec_create cfg);
+  let initial = make_spec ?mutate cfg in
+  add_state (-1) (-1) initial;
   (* The initial state: nothing cached, nothing touched — still worth one
-     conformance pass so a backend with dirty create-time state fails. *)
-  (if check_backends then
-     match conform_both cfg topo [] (spec_create cfg) (-1) with
+     conformance pass so a kernel with dirty create-time state fails. *)
+  (if check_kernel then
+     match conform cfg [] initial (-1) with
      | Some msg -> violate 0 None msg
      | None -> ());
   while not (Queue.is_empty queue) do
@@ -709,13 +373,12 @@ let run ?mutate ?(max_states = 200_000) cfg =
      end);
     for a = 0 to nact - 1 do
       incr transitions;
-      let sp = spec_copy n.n_spec in
-      let lat = spec_access ?mutate cfg topo sp actions.(a) in
-      (match spec_check cfg sp ~last:(Some actions.(a)) with
+      let sp, lat = spec_step cfg n.n_spec actions.(a) in
+      (match spec_check sp ~last:(Some actions.(a)) with
       | Some msg -> violate id (Some actions.(a)) msg
       | None -> ());
-      (if check_backends then
-         match conform_both cfg topo (prefix @ [ actions.(a) ]) sp lat with
+      (if check_kernel then
+         match conform cfg (prefix @ [ actions.(a) ]) sp lat with
          | Some msg -> violate id (Some actions.(a)) msg
          | None -> ());
       add_state id a sp
@@ -738,8 +401,8 @@ let run ?mutate ?(max_states = 200_000) cfg =
 (* ---------- the pinned suite ---------- *)
 
 (* Exact reachable-state counts per configuration, measured once and pinned:
-   a protocol change in memkern.ml/coherence.ml that alters the reachable
-   set shows up as a count drift here even if it violates no invariant. *)
+   a protocol change that alters the reachable set shows up as a count
+   drift here even if it violates no invariant. *)
 let standard_suite =
   [
     (* eviction-free, fully associative: lines evolve independently (the

@@ -1,26 +1,25 @@
 (** Exhaustive small-config model checker for the coherence kernel.
 
-    The QCheck2 differential suites prove {!Coherence}'s two backends
-    identical on random traces — but both could share a protocol bug. This
-    module closes that gap with explicit-state model checking in the spirit
-    of the Kronecker-algebra verification of shared-memory concurrent
-    systems (Mittermayr & Blieberger): enumerate {e all} reachable states
-    of k CPUs x m lines under every interleaving of a small access
-    alphabet, and at every transition check both backends against a third,
-    pure transcription of the protocol spec.
+    The differential suites compare {!Coherence} with {!Coherence_spec} on
+    random traces — but random traces can miss a corner. This module
+    closes that gap with explicit-state model checking in the spirit of
+    the Kronecker-algebra verification of shared-memory concurrent systems
+    (Mittermayr & Blieberger): enumerate {e all} reachable spec states of
+    k CPUs x m lines under every interleaving of a small access alphabet,
+    and check the kernel against the spec on every transition.
 
     For each reachable state the checker asserts:
-    - global protocol invariants: at most one M/E/O holder per line, an
-      M/E holder excludes every other copy, sharer-set/state agreement,
-      Owned only under MOESI, no stale dirty copy after an invalidating
-      write (the writer ends as the sole holder, in M), a directory entry
-      is live iff some cache holds the line, and no invalidation hint
-      outlives its line's sharing episode;
-    - backend conformance on {e every} edge: the latency charged by both
-      backends equals the spec's latency for that transition, all per-CPU
-      {!Sim_stats} match the spec exactly, and the full introspected state
-      ({!Coherence.owner}/[sharers]/[cache_state]/[inv_hint]/[touched])
-      agrees with the spec state;
+    - the spec's protocol invariants ({!Coherence_spec.violation}): at
+      most one M/E/O holder per line, an M/E holder excludes every other
+      copy, Owned only under MOESI, no invalidation hint outlives its
+      line's sharing episode; and the write postcondition (no stale copy
+      after an invalidating write: the writer ends as the sole holder, in
+      M);
+    - kernel conformance on {e every} edge: the latency the kernel charges
+      equals the spec's for that transition, the kernel's own invariants
+      hold ({!Coherence.check_invariants}), and its per-CPU
+      {!Sim_stats} and introspected state agree with the spec state
+      ({!Coherence_spec.mismatch});
     - in eviction-free configs, that {!Trace_oracle} classifies the
       sharing misses of the state's generating trace exactly as the
       coherence classifier does.
@@ -28,12 +27,11 @@
     States are canonicalized by packing every per-(CPU, line) summary
     (cache-state code + pending-hint code) plus the per-line touched bits
     into a single nonnegative [int] (<= 62 bits for every accepted
-    config), and the visited set is a {!Slo_util.Flat_tab} over those packed keys —
-    the same open-addressing table the kernel itself uses. Reachable-state
-    counts per (protocol, topology, k, m) are pinned in
-    {!standard_suite}; any future semantic drift in [memkern.ml] or
-    [coherence.ml] changes a count or trips a conformance check and fails
-    loudly.
+    config), and the visited set is a {!Slo_util.Flat_tab} over those
+    packed keys — the same open-addressing table the kernel itself uses.
+    Reachable-state counts per (protocol, topology, k, m) are pinned in
+    {!standard_suite}; any semantic drift in the kernel or the spec
+    changes a count or trips a conformance check and fails loudly.
 
     Exploration is breadth-first, so the trace stored for each state is a
     minimal-length witness; on violation it is shrunk further by greedy
@@ -78,11 +76,11 @@ exception Violation of { vmsg : string; vtrace : step list }
 (** Raised by {!run} on any invariant or conformance failure. [vtrace] is
     the greedily shrunk (1-minimal) witness ending in the violation. *)
 
-(** Deliberate protocol bugs, used to prove the checker's net catches and
-    minimizes real violations (see the [sim.mc.mutation] tests). Mutations
-    perturb the pure spec only; backend conformance is disabled under a
-    mutation (the spec {e is} the system under test). *)
-type mutation =
+(** The spec's deliberate protocol bugs ({!Coherence_spec.mutation}),
+    used to prove the checker's net catches and minimizes real violations
+    (see the [sim.mc.mutation] tests). Kernel conformance is off under a
+    mutation: the mutated spec {e is} the system under test. *)
+type mutation = Coherence_spec.mutation =
   | Read_keeps_modified
       (** a remote read of a Modified line forgets to downgrade the owner:
           M and S copies coexist *)
@@ -114,11 +112,11 @@ val run : ?mutate:mutation -> ?max_states:int -> config -> report
     geometry so victims are deterministic). *)
 
 val spec_violation : ?mutate:mutation -> config -> step list -> string option
-(** Replay one trace through the (optionally mutated) pure spec and return
+(** Replay one trace through the (optionally mutated) spec and return
     the first protocol-invariant violation, if any — exposed so tests can
     assert a shrunk counterexample is 1-minimal. *)
 
 val standard_suite : (config * int) list
 (** The pinned configurations: each with its exact reachable-state count.
-    [bench model_check], [slayout verify] and the [sim.mc] tests all
-    re-explore these and fail on any drift. *)
+    [slayout verify] and the [sim.mc] tests re-explore these and fail on
+    any drift. *)

@@ -83,13 +83,11 @@ let profile () =
 let icache =
   { Slo_sim.Coherence.i_lines = 16; i_ways = None; i_line_size = 64 }
 
-let run_sim ?backend ?(cpus = 4) ?code_layout () =
+let run_sim ?(cpus = 4) ?code_layout () =
   let topology = Topology.bus ~cpus () in
-  let base = Machine.default_config topology in
   let cfg =
-    { base with
+    { (Machine.default_config topology) with
       Machine.seed = 13;
-      backend = Option.value backend ~default:base.Machine.backend;
       icache = Some icache }
   in
   let m = Machine.create cfg (program ()) in

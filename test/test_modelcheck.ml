@@ -9,9 +9,10 @@ module Obs = Slo_obs.Obs
 
 let check_int = Alcotest.(check int)
 
-(* The tentpole assertion: every standard config explores cleanly on both
-   backends and lands exactly on its pinned state count. Any semantic
-   drift in memkern.ml/coherence.ml fails here loudly. *)
+(* The central assertion: every standard config explores cleanly, with
+   the kernel conforming to the spec on every edge, and lands exactly on
+   its pinned state count. Any semantic drift in the kernel or the spec
+   fails here loudly. *)
 let test_standard_suite () =
   List.iter
     (fun (cfg, pin) ->

@@ -1,7 +1,7 @@
-(* Tests for Slo_sim: topology, cache, MESI coherence, machine engine. *)
+(* Tests for Slo_sim: topology, cache residency, MESI coherence, machine
+   engine. *)
 
 module Topology = Slo_sim.Topology
-module Cache = Slo_sim.Cache
 module Coherence = Slo_sim.Coherence
 module Sim_stats = Slo_sim.Sim_stats
 module Machine = Slo_sim.Machine
@@ -176,42 +176,54 @@ let prop_llc_local_cheapest =
       else this = lat.Topology.cross_crossbar)
 
 (* ------------------------------------------------------------------ *)
-(* Cache *)
+(* Cache residency, seen through the protocol *)
+
+let one_cpu_cache ?ways capacity =
+  Coherence.create (Topology.bus ~cpus:2 ()) ~line_size:128
+    ~cache_capacity:capacity ?ways ()
+
+let state c ~cpu line = Coherence.cache_state c ~cpu ~line
 
 let test_cache_insert_lookup () =
-  let c = Cache.create ~capacity:4 () in
-  Alcotest.(check (option reject)) "empty" None
-    (Option.map (fun _ -> ()) (Cache.state c 1));
-  ignore (Cache.insert c 1 Cache.Shared);
-  Alcotest.(check bool) "present" true (Cache.state c 1 = Some Cache.Shared);
-  Cache.set_state c 1 Cache.Modified;
-  Alcotest.(check bool) "state changed" true (Cache.state c 1 = Some Cache.Modified)
+  let c = one_cpu_cache 4 in
+  Alcotest.(check bool) "empty" true (state c ~cpu:0 1 = None);
+  ignore (Coherence.access c ~cpu:0 ~addr:128 ~size:8 ~is_write:false);
+  Alcotest.(check bool) "a lone reader fills E" true
+    (state c ~cpu:0 1 = Some Coherence.Exclusive);
+  ignore (Coherence.access c ~cpu:0 ~addr:128 ~size:8 ~is_write:true);
+  Alcotest.(check bool) "a write makes it M" true
+    (state c ~cpu:0 1 = Some Coherence.Modified)
 
 let test_cache_lru_eviction () =
-  let c = Cache.create ~capacity:2 () in
-  ignore (Cache.insert c 1 Cache.Shared);
-  ignore (Cache.insert c 2 Cache.Shared);
-  (* touch 1 so 2 becomes the victim *)
-  Cache.touch c 1;
-  (match Cache.insert c 3 Cache.Shared with
-  | Some (victim, _) -> check_int "LRU victim" 2 victim
-  | None -> Alcotest.fail "expected eviction");
-  Alcotest.(check bool) "1 still present" true (Cache.state c 1 <> None);
-  Alcotest.(check bool) "2 evicted" true (Cache.state c 2 = None)
+  let c = one_cpu_cache 2 in
+  let read line =
+    ignore (Coherence.access c ~cpu:0 ~addr:(line * 128) ~size:8 ~is_write:false)
+  in
+  read 1;
+  read 2;
+  (* the hit on 1 makes 2 the victim *)
+  read 1;
+  read 3;
+  Alcotest.(check bool) "1 still present" true (state c ~cpu:0 1 <> None);
+  Alcotest.(check bool) "2 evicted" true (state c ~cpu:0 2 = None)
 
 let test_cache_remove_and_errors () =
-  let c = Cache.create ~capacity:2 () in
-  ignore (Cache.insert c 5 Cache.Exclusive);
-  Cache.remove c 5;
-  Alcotest.(check bool) "removed" true (Cache.state c 5 = None);
-  Cache.remove c 5 (* no-op *);
-  (match Cache.set_state c 5 Cache.Shared with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "set_state on absent line");
-  ignore (Cache.insert c 5 Cache.Shared);
-  match Cache.insert c 5 Cache.Shared with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "double insert"
+  let c = one_cpu_cache 2 in
+  ignore (Coherence.access c ~cpu:0 ~addr:640 ~size:8 ~is_write:false);
+  ignore (Coherence.access c ~cpu:1 ~addr:640 ~size:8 ~is_write:true);
+  Alcotest.(check bool) "a remote write removes the copy" true
+    (state c ~cpu:0 5 = None);
+  let rejected label f =
+    match f () with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "%s accepted" label
+  in
+  rejected "cpu out of range" (fun () ->
+      Coherence.access c ~cpu:2 ~addr:0 ~size:8 ~is_write:false);
+  rejected "empty access" (fun () ->
+      Coherence.access c ~cpu:0 ~addr:0 ~size:0 ~is_write:false);
+  rejected "straddling access" (fun () ->
+      Coherence.access c ~cpu:0 ~addr:124 ~size:8 ~is_write:false)
 
 (* ------------------------------------------------------------------ *)
 (* Coherence protocol scenarios *)
@@ -636,18 +648,17 @@ let test_set_associative_conflicts () =
   (* 4 lines, 2 ways -> 2 sets. Lines 0 and 2 map to set 0; a third
      conflicting line evicts the LRU way even though the cache is not
      full. *)
-  let c = Cache.create ~capacity:4 ~ways:2 () in
-  ignore (Cache.insert c 0 Cache.Shared);
-  ignore (Cache.insert c 2 Cache.Shared);
-  ignore (Cache.insert c 1 Cache.Shared);
-  (match Cache.insert c 4 Cache.Shared with
-  | Some (victim, _) -> check_int "conflict evicts set-0 LRU" 0 victim
-  | None -> Alcotest.fail "expected conflict eviction");
-  check_int "cache not full" 4 (Cache.capacity c);
-  check_int "three resident" 3 (Cache.size c)
+  let c = one_cpu_cache ~ways:2 4 in
+  List.iter
+    (fun line ->
+      ignore (Coherence.access c ~cpu:0 ~addr:(line * 128) ~size:8 ~is_write:false))
+    [ 0; 2; 1; 4 ];
+  Alcotest.(check bool) "conflict evicts set-0 LRU" true (state c ~cpu:0 0 = None);
+  check_int "three resident" 3
+    (List.length (List.filter (fun l -> state c ~cpu:0 l <> None) [ 0; 1; 2; 4 ]))
 
 let test_ways_validation () =
-  match Cache.create ~capacity:4 ~ways:3 () with
+  match one_cpu_cache ~ways:3 4 with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "accepted ways not dividing capacity"
 
@@ -708,6 +719,41 @@ let test_trace_recording () =
       | Some ("S", 0, "a", 0) -> ()
       | _ -> Alcotest.fail "trace address did not resolve to S.a")
     r.Machine.trace
+
+(* Global variables are traced like struct fields: the trace holds every
+   load and store the coherence kernel served. *)
+let test_trace_covers_globals () =
+  let src =
+    {|
+struct S { long a; };
+int g;
+void bump(struct S *s, int n) {
+  for (i = 0; i < n; i++) { g = g + s->a; }
+}
+|}
+  in
+  let program = Typecheck.check (Parser.parse_program ~file:"g.mc" src) in
+  let m =
+    Machine.create
+      { (Machine.default_config (Topology.bus ~cpus:2 ())) with Machine.trace = true }
+      program
+  in
+  let s = Machine.alloc m ~struct_name:"S" in
+  List.iter
+    (fun cpu -> Machine.add_thread m ~cpu ~work:[ ("bump", [ Machine.Ainst s; Machine.Aint 6 ]) ])
+    [ 0; 1 ];
+  let r = Machine.run m in
+  let st = r.Machine.stats in
+  check_int "one event per load and store"
+    (st.Sim_stats.loads + st.Sim_stats.stores)
+    (List.length r.Machine.trace);
+  Alcotest.(check bool) "globals are in the trace" true
+    (List.exists
+       (fun (e : Machine.trace_event) ->
+         match Machine.resolve_addr m e.Machine.t_addr with
+         | Some (_, -1, "g", 0) -> true
+         | _ -> false)
+       r.Machine.trace)
 
 let test_resolve_addr () =
   let m = mk_machine () in
@@ -772,6 +818,7 @@ let suites =
       ( "sim.trace",
         [
           Alcotest.test_case "recording" `Quick test_trace_recording;
+          Alcotest.test_case "globals are traced" `Quick test_trace_covers_globals;
           Alcotest.test_case "resolve_addr" `Quick test_resolve_addr;
           Alcotest.test_case "oracle classification" `Quick test_oracle_classification;
           Alcotest.test_case "cross-instance ignored" `Quick test_oracle_ignores_cross_instance;

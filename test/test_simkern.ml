@@ -1,11 +1,11 @@
-(* Tests for the flat memory-system kernel: Flat_tab model checking, the
-   kernel-vs-reference differential oracle, coherence-invariant properties
-   over the introspection API, the hint-staleness regression, and the
-   cache determinism pins. *)
+(* Tests for the memory-system kernel: Flat_tab model checking, the
+   kernel-vs-spec differential oracle, coherence-invariant properties over
+   the introspection API, the hint-staleness regression, LRU refresh on
+   state changes, and machine-level trace replay through the spec. *)
 
 module Topology = Slo_sim.Topology
-module Cache = Slo_sim.Cache
 module Coherence = Slo_sim.Coherence
+module Spec = Slo_sim.Coherence_spec
 module Flat_tab = Slo_util.Flat_tab
 module Sim_stats = Slo_sim.Sim_stats
 module Machine = Slo_sim.Machine
@@ -72,15 +72,54 @@ let test_flat_tab_grow_and_shift () =
   | _ -> Alcotest.fail "accepted negative key"
 
 (* ------------------------------------------------------------------ *)
-(* Differential oracle: the flat kernel must be indistinguishable from
-   the boxed reference — per-access latencies, per-CPU statistics,
-   directory contents, cache states — across protocols, topologies and
-   associativities. *)
+(* Differential oracle: the kernel must be indistinguishable from the
+   spec — per-access latencies, per-CPU statistics, directory contents,
+   cache states — across protocols, topologies and associativities. *)
+
+(* The kernel and the spec fed the same steps; every latency must agree. *)
+type pair = { kern : Coherence.t; mutable spec : Spec.t }
+
+let pair ?ways ?icache ?hierarchy ?protocol ~cache_capacity topology =
+  {
+    kern =
+      Coherence.create topology ~line_size:128 ~cache_capacity ?ways ?icache
+        ?hierarchy ?protocol ();
+    spec =
+      Spec.create topology ~line_size:128 ~cache_capacity ?ways ?icache
+        ?hierarchy ?protocol ();
+  }
+
+let step p ~cpu ~addr ~is_write =
+  let a = Coherence.access p.kern ~cpu ~addr ~size:8 ~is_write in
+  let spec, b = Spec.access p.spec ~cpu ~addr ~size:8 ~is_write in
+  p.spec <- spec;
+  if a <> b then
+    Alcotest.failf "latency diverged (cpu %d addr %d write %b): kernel %d, spec %d"
+      cpu addr is_write a b;
+  a
+
+let fetch p ~cpu ~addr ~size =
+  let a = Coherence.ifetch p.kern ~cpu ~addr ~size in
+  let spec, b = Spec.ifetch p.spec ~cpu ~addr ~size in
+  p.spec <- spec;
+  if a <> b then
+    Alcotest.failf "fetch latency diverged (cpu %d addr %d size %d): kernel %d, spec %d"
+      cpu addr size a b;
+  a
+
+(* Both sides' invariants hold and their observable states agree on
+   lines [0, lines). *)
+let agree ?(lines = 12) p =
+  Coherence.check_invariants p.kern;
+  Option.iter (Alcotest.failf "spec invariant: %s") (Spec.violation p.spec);
+  Option.iter
+    (Alcotest.failf "kernel and spec disagree: %s")
+    (Spec.mismatch p.spec p.kern ~lines:(List.init lines Fun.id))
 
 let topologies =
   [
     ("superdome8", Topology.superdome ~cpus:8 ());
-    (* > 62 CPUs exercises the multi-word sharer bitmasks *)
+    (* > 62 CPUs exercises the kernel's multi-word sharer bitmasks *)
     ("superdome128", Topology.superdome ~cpus:128 ());
     ("bus4", Topology.bus ~cpus:4 ());
   ]
@@ -97,46 +136,22 @@ let trace_gen =
        let* w = bool in
        return (cpu, line, off, w)))
 
-let run_both ~topology ~protocol ~ways trace =
-  let mk backend =
-    Coherence.create topology ~line_size:128 ~cache_capacity:8 ?ways ~protocol
-      ~backend ()
-  in
-  let flat = mk Coherence.Flat and refr = mk Coherence.Reference in
+let run_trace p topology trace =
   let cpus = Topology.num_cpus topology in
   List.iter
     (fun (cpu, line, off, w) ->
-      let cpu = cpu mod cpus and addr = (line * 128) + (off * 8) in
-      let lf = Coherence.access flat ~cpu ~addr ~size:8 ~is_write:w in
-      let lr = Coherence.access refr ~cpu ~addr ~size:8 ~is_write:w in
-      if lf <> lr then
-        Alcotest.failf "latency diverged: flat %d vs reference %d" lf lr)
-    trace;
-  Coherence.check_invariants flat;
-  Coherence.check_invariants refr;
-  for cpu = 0 to cpus - 1 do
-    if Coherence.stats flat ~cpu <> Coherence.stats refr ~cpu then
-      Alcotest.failf "per-cpu stats diverged on cpu %d" cpu
-  done;
-  for line = 0 to lines_in_play - 1 do
-    if Coherence.holders flat ~line <> Coherence.holders refr ~line then
-      Alcotest.failf "holders diverged on line %d" line;
-    if Coherence.owner flat ~line <> Coherence.owner refr ~line then
-      Alcotest.failf "owner diverged on line %d" line;
-    if Coherence.sharers flat ~line <> Coherence.sharers refr ~line then
-      Alcotest.failf "sharers diverged on line %d" line;
-    for cpu = 0 to cpus - 1 do
-      if
-        Coherence.cache_state flat ~cpu ~line
-        <> Coherence.cache_state refr ~cpu ~line
-      then Alcotest.failf "cache state diverged: cpu %d line %d" cpu line
-    done
-  done
+      ignore (step p ~cpu:(cpu mod cpus) ~addr:((line * 128) + (off * 8)) ~is_write:w))
+    trace
+
+let run_both ~topology ~protocol ~ways trace =
+  let p = pair topology ~cache_capacity:8 ?ways ~protocol in
+  run_trace p topology trace;
+  agree p
 
 let prop_differential =
   QCheck2.Test.make
     ~name:
-      "flat kernel == boxed reference (latencies, stats, directory) across \
+      "flat kernel == reference spec (latencies, stats, directory) across \
        protocols x topologies x associativities" ~count:25 trace_gen
     (fun trace ->
       List.iter
@@ -160,52 +175,41 @@ let prop_directory_invariants =
        Owned" ~count:60 trace_gen
     (fun trace ->
       List.iter
-        (fun (protocol, backend) ->
+        (fun protocol ->
           let topology = Topology.superdome ~cpus:8 () in
-          let c =
-            Coherence.create topology ~line_size:128 ~cache_capacity:8
-              ~protocol ~backend ()
-          in
-          List.iter
-            (fun (cpu, line, off, w) ->
-              ignore
-                (Coherence.access c ~cpu:(cpu mod 8)
-                   ~addr:((line * 128) + (off * 8))
-                   ~size:8 ~is_write:w))
-            trace;
+          let p = pair topology ~cache_capacity:8 ~protocol in
+          run_trace p topology trace;
+          let c = p.kern in
           for line = 0 to lines_in_play - 1 do
             let sharers = Coherence.sharers c ~line in
             (match Coherence.owner c ~line with
             | Some o ->
                 (match Coherence.cache_state c ~cpu:o ~line with
-                | Some (Cache.Modified | Cache.Exclusive | Cache.Owned) -> ()
+                | Some (Coherence.Modified | Coherence.Exclusive | Coherence.Owned) -> ()
                 | st ->
                     Alcotest.failf "owner of line %d holds %s" line
                       (match st with
                       | None -> "nothing"
-                      | Some Cache.Shared -> "S"
+                      | Some Coherence.Shared -> "S"
                       | _ -> "?"));
                 if List.mem o sharers then
                   Alcotest.failf "owner %d in sharer set of line %d" o line
             | None -> ());
             List.iter
               (fun s ->
-                if Coherence.cache_state c ~cpu:s ~line <> Some Cache.Shared
+                if Coherence.cache_state c ~cpu:s ~line <> Some Coherence.Shared
                 then Alcotest.failf "sharer %d of line %d not in S" s line)
               sharers;
             if protocol = Coherence.Mesi then
               for cpu = 0 to 7 do
-                if Coherence.cache_state c ~cpu ~line = Some Cache.Owned then
+                if Coherence.cache_state c ~cpu ~line = Some Coherence.Owned then
                   Alcotest.failf "MESI produced Owned (cpu %d line %d)" cpu
                     line
               done
-          done)
-        [
-          (Coherence.Mesi, Coherence.Flat);
-          (Coherence.Mesi, Coherence.Reference);
-          (Coherence.Moesi, Coherence.Flat);
-          (Coherence.Moesi, Coherence.Reference);
-        ];
+          done;
+          (* the spec's own invariants, and its agreement with the kernel *)
+          agree p)
+        [ Coherence.Mesi; Coherence.Moesi ];
       true)
 
 (* ------------------------------------------------------------------ *)
@@ -215,17 +219,14 @@ let prop_directory_invariants =
    the end of the sharing episode: once every cached copy of the line was
    evicted (directory entry gone), the CPU's much-later re-fetch still
    consulted the stale hint and was misclassified as a sharing miss. The
-   fix drops a line's hints when its directory entry is removed, so the
-   re-fetch counts as a capacity miss. This scenario fails on the pre-fix
-   code in both backends (it reported false_sharing = 1, capacity = 0). *)
+   fix drops a line's hints when its last cached copy goes, so the
+   re-fetch counts as a capacity miss. This scenario failed on the pre-fix
+   code (it reported false_sharing = 1, capacity = 0). Each scenario runs
+   on the kernel and the spec. *)
 
-let test_hint_staleness backend () =
-  let c =
-    Coherence.create
-      (Topology.bus ~cpus:2 ())
-      ~line_size:128 ~cache_capacity:2 ~backend ()
-  in
-  let access cpu addr w = ignore (Coherence.access c ~cpu ~addr ~size:8 ~is_write:w) in
+let test_hint_staleness () =
+  let p = pair (Topology.bus ~cpus:2 ()) ~cache_capacity:2 in
+  let access cpu addr w = ignore (step p ~cpu ~addr ~is_write:w) in
   access 0 0 false;
   (* cpu1 writes bytes 8..15 of line 0: cpu0 invalidated, hint recorded *)
   access 1 8 true;
@@ -233,73 +234,93 @@ let test_hint_staleness backend () =
      last cached copy is gone, so the sharing episode is over *)
   access 1 128 false;
   access 1 256 false;
-  Alcotest.(check (list int)) "no copies left" [] (Coherence.holders c ~line:0);
+  Alcotest.(check (list int)) "no copies left" [] (Coherence.holders p.kern ~line:0);
   (* cpu0 re-reads bytes 0..7 — disjoint from the hint interval, so the
      stale hint would classify this as a false-sharing miss *)
   access 0 0 false;
-  let st = Coherence.stats c ~cpu:0 in
+  let st = Coherence.stats p.kern ~cpu:0 in
   check_int "capacity miss" 1 st.Sim_stats.capacity_misses;
   check_int "no false sharing" 0 st.Sim_stats.false_sharing_misses;
   check_int "no true sharing" 0 st.Sim_stats.true_sharing_misses;
-  Coherence.check_invariants c
+  agree p
 
-let test_hint_live_episode backend () =
+let test_hint_live_episode () =
   (* Sanity check that the fix did not over-drop: while the episode is
      live the hint still classifies the next miss. *)
-  let c =
-    Coherence.create
-      (Topology.bus ~cpus:2 ())
-      ~line_size:128 ~cache_capacity:4 ~backend ()
-  in
-  let access cpu addr w = ignore (Coherence.access c ~cpu ~addr ~size:8 ~is_write:w) in
+  let p = pair (Topology.bus ~cpus:2 ()) ~cache_capacity:4 in
+  let access cpu addr w = ignore (step p ~cpu ~addr ~is_write:w) in
   access 0 0 false;
   access 1 8 true;
   access 0 0 false;
   check_int "false sharing" 1
-    (Coherence.stats c ~cpu:0).Sim_stats.false_sharing_misses;
+    (Coherence.stats p.kern ~cpu:0).Sim_stats.false_sharing_misses;
   access 1 0 true;
   access 0 0 false;
   check_int "true sharing" 1
-    (Coherence.stats c ~cpu:0).Sim_stats.true_sharing_misses
+    (Coherence.stats p.kern ~cpu:0).Sim_stats.true_sharing_misses;
+  agree p
 
 (* ------------------------------------------------------------------ *)
-(* Cache determinism pins *)
+(* LRU refresh on a state change. A remote read that downgrades the
+   owner's copy (MESI E -> S and M -> S, MOESI M -> O) makes that copy its
+   set's most recently used line, so the owner's next fill evicts the
+   other line instead. *)
 
-let test_cache_iter_sorted () =
-  let c = Cache.create ~capacity:16 () in
+let test_downgrade_refreshes_lru () =
   List.iter
-    (fun l -> ignore (Cache.insert c l Cache.Shared))
-    [ 9; 3; 12; 1; 7; 0; 15 ];
-  let seen = ref [] in
-  Cache.iter c (fun line _ -> seen := line :: !seen);
-  Alcotest.(check (list int))
-    "ascending line order" [ 0; 1; 3; 7; 9; 12; 15 ]
-    (List.rev !seen)
+    (fun (protocol, dirty, downgraded) ->
+      let p = pair (Topology.bus ~cpus:2 ()) ~cache_capacity:2 ~protocol in
+      ignore (step p ~cpu:0 ~addr:0 ~is_write:dirty);
+      ignore (step p ~cpu:0 ~addr:128 ~is_write:false);
+      (* line 0 is cpu0's LRU line until cpu1's read downgrades it *)
+      ignore (step p ~cpu:1 ~addr:0 ~is_write:false);
+      Alcotest.(check bool) "owner downgraded" true
+        (Coherence.cache_state p.kern ~cpu:0 ~line:0 = Some downgraded);
+      ignore (step p ~cpu:0 ~addr:256 ~is_write:false);
+      Alcotest.(check bool) "downgraded line kept" true
+        (Coherence.cache_state p.kern ~cpu:0 ~line:0 <> None);
+      Alcotest.(check bool) "untouched line evicted" true
+        (Coherence.cache_state p.kern ~cpu:0 ~line:1 = None);
+      agree p)
+    [
+      (Coherence.Mesi, false, Coherence.Shared);
+      (Coherence.Mesi, true, Coherence.Shared);
+      (Coherence.Moesi, true, Coherence.Owned);
+    ]
 
-let test_set_state_touches_lru () =
-  (* set_state must refresh recency (it reaches the node in one lookup
-     now): after touching line 1 via set_state, line 2 is the LRU victim. *)
-  let c = Cache.create ~capacity:2 () in
-  ignore (Cache.insert c 1 Cache.Shared);
-  ignore (Cache.insert c 2 Cache.Shared);
-  Cache.set_state c 1 Cache.Modified;
-  match Cache.insert c 3 Cache.Shared with
-  | Some (victim, Cache.Shared) -> check_int "victim is line 2" 2 victim
-  | Some (_, _) -> Alcotest.fail "victim had wrong state"
-  | None -> Alcotest.fail "expected eviction"
+(* A negative address is rejected before any statistic moves; it once
+   aliased line 0 at a negative offset, or escaped from the kernel's line
+   table. *)
+let test_negative_address () =
+  let p = pair (Topology.bus ~cpus:2 ()) ~cache_capacity:4 in
+  List.iter
+    (fun addr ->
+      (match Coherence.access p.kern ~cpu:0 ~addr ~size:8 ~is_write:true with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "kernel accepted address %d" addr);
+      match Spec.access p.spec ~cpu:0 ~addr ~size:8 ~is_write:true with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "spec accepted address %d" addr)
+    [ -200; -64; -1 ];
+  check_int "no store counted" 0 (Coherence.stats p.kern ~cpu:0).Sim_stats.stores;
+  agree p
 
 (* ------------------------------------------------------------------ *)
-(* Machine-level end-to-end identity: full results (makespan, per-CPU
-   cycles, stats, samples, trace) must be structurally equal across
-   backends even with sampling and tracing enabled. *)
+(* Machine-level: run the kernel machine with tracing on, replay its data
+   trace and fetch trace through the spec, and demand the same per-CPU
+   statistics. The trace holds every access in the kernel's order (the
+   fetch side is private and coherence-free, so its order against the
+   data side does not matter). *)
 
 let src =
   {|
 struct S { long a; long b; long arr[4]; };
+long hits;
 void writer(struct S *s, int n) {
   for (i = 0; i < n; i++) {
     s->a = s->a + 1;
     s->arr[i % 4] = i;
+    hits = hits + 1;
   }
 }
 void reader(struct S *s, int n) {
@@ -309,36 +330,64 @@ void reader(struct S *s, int n) {
 }
 |}
 
-let test_machine_backend_identity () =
+let run_src_machine ?icache ?code_layout () =
   let program = Typecheck.check (Parser.parse_program ~file:"t.mc" src) in
-  let run backend =
-    let topology = Topology.superdome ~cpus:4 () in
-    let m =
-      Machine.create
-        {
-          (Machine.default_config topology) with
-          Machine.cache_lines = 16;
-          sample_period = Some 50;
-          trace = true;
-          seed = 11;
-          backend;
-        }
-        program
-    in
-    let s = Machine.alloc m ~struct_name:"S" in
-    for cpu = 0 to 3 do
-      Machine.add_thread m ~cpu
-        ~work:
-          [
-            ( (if cpu mod 2 = 0 then "writer" else "reader"),
-              [ Machine.Ainst s; Machine.Aint 40 ] );
-          ]
-    done;
-    Machine.run m
+  let topology = Topology.superdome ~cpus:4 () in
+  let config =
+    {
+      (Machine.default_config topology) with
+      Machine.cache_lines = 16;
+      sample_period = Some 50;
+      trace = true;
+      seed = 11;
+      icache;
+    }
   in
-  let r_flat = run Coherence.Flat and r_ref = run Coherence.Reference in
-  Alcotest.(check bool) "whole results identical" true (r_flat = r_ref);
-  Alcotest.(check bool) "trace non-empty" true (r_flat.Machine.trace <> [])
+  let m = Machine.create config program in
+  Option.iter (Machine.set_code_layout m) code_layout;
+  let s = Machine.alloc m ~struct_name:"S" in
+  for cpu = 0 to 3 do
+    Machine.add_thread m ~cpu
+      ~work:
+        [
+          ( (if cpu mod 2 = 0 then "writer" else "reader"),
+            [ Machine.Ainst s; Machine.Aint 40 ] );
+        ]
+  done;
+  (config, Machine.run m)
+
+let replays_on_spec (config, (r : Machine.result)) =
+  let spec =
+    Spec.create config.Machine.topology ~line_size:config.Machine.line_size
+      ~cache_capacity:config.Machine.cache_lines ?ways:config.Machine.cache_ways
+      ?icache:config.Machine.icache ~protocol:config.Machine.protocol ()
+  in
+  let spec =
+    List.fold_left
+      (fun s (e : Machine.trace_event) ->
+        fst
+          (Spec.access s ~cpu:e.Machine.t_cpu ~addr:e.Machine.t_addr
+             ~size:e.Machine.t_size ~is_write:e.Machine.t_is_write))
+      spec r.Machine.trace
+  in
+  let spec =
+    List.fold_left
+      (fun s (e : Machine.trace_event) ->
+        fst
+          (Spec.ifetch s ~cpu:e.Machine.t_cpu ~addr:e.Machine.t_addr
+             ~size:e.Machine.t_size))
+      spec r.Machine.fetch_trace
+  in
+  Array.iteri
+    (fun cpu st ->
+      if st <> Spec.stats spec ~cpu then
+        Alcotest.failf "cpu %d: machine statistics differ from the spec replay" cpu)
+    r.Machine.per_cpu_stats
+
+let test_machine_trace_replay () =
+  let (_, r) as run = run_src_machine () in
+  Alcotest.(check bool) "trace non-empty" true (r.Machine.trace <> []);
+  replays_on_spec run
 
 (* Backward-shift deletion across the wrap-around boundary. With the
    minimum capacity (8 slots, mask 7) and the kernel's Fibonacci hash,
@@ -375,118 +424,87 @@ let test_flat_tab_wraparound_delete () =
   check_int "key 11 still findable" 110 (Flat_tab.find t 11 ~default:(-1));
   check_int "two survivors" 2 (Flat_tab.length t)
 
-let both_step fl rf ~cpu ~addr ~is_write =
-  let a = Coherence.access fl ~cpu ~addr ~size:8 ~is_write in
-  let b = Coherence.access rf ~cpu ~addr ~size:8 ~is_write in
-  check_int (Printf.sprintf "latency identical (cpu %d addr %d)" cpu addr) a b
-
 (* Sharer masks wider than one 62-bit word: CPUs 60 and 61 sit in bits
    60/61 of word 0 (the word boundary), 62 and 63 in bits 0/1 of word 1.
-   The 128-CPU Superdome forces the multi-word mask path in the flat
-   kernel; the boxed reference is the oracle throughout. *)
+   The 128-CPU Superdome forces the kernel's multi-word mask path; the
+   spec is the oracle throughout. *)
 let test_multiword_sharer_mask () =
-  let topo = Topology.superdome () in
-  let mk backend =
-    Coherence.create topo ~line_size:128 ~cache_capacity:4 ~backend ()
-  in
-  let fl = mk Coherence.Flat and rf = mk Coherence.Reference in
-  List.iter
-    (fun cpu -> both_step fl rf ~cpu ~addr:0 ~is_write:false)
-    [ 61; 60; 62; 63 ];
-  List.iter
-    (fun c ->
-      Alcotest.(check (list int))
-        "sharer set spans the word boundary" [ 60; 61; 62; 63 ]
-        (Coherence.sharers c ~line:0);
-      Alcotest.(check (option int)) "no owner" None (Coherence.owner c ~line:0))
-    [ fl; rf ];
+  let p = pair (Topology.superdome ()) ~cache_capacity:4 in
+  let c = p.kern in
+  List.iter (fun cpu -> ignore (step p ~cpu ~addr:0 ~is_write:false)) [ 61; 60; 62; 63 ];
+  Alcotest.(check (list int))
+    "sharer set spans the word boundary" [ 60; 61; 62; 63 ]
+    (Coherence.sharers c ~line:0);
+  Alcotest.(check (option int)) "no owner" None (Coherence.owner c ~line:0);
+  agree p;
   (* A write from word 0 must invalidate holders in both words at once. *)
-  both_step fl rf ~cpu:0 ~addr:8 ~is_write:true;
-  List.iter
-    (fun c ->
-      Alcotest.(check (list int)) "writer is the sole holder" [ 0 ]
-        (Coherence.holders c ~line:0);
-      check_int "all four copies invalidated" 4
-        (Coherence.stats c ~cpu:0).Sim_stats.invalidations;
-      Alcotest.(check (option (pair int int)))
-        "hint recorded across the word boundary" (Some (8, 8))
-        (Coherence.inv_hint c ~cpu:63 ~line:0))
-    [ fl; rf ];
+  ignore (step p ~cpu:0 ~addr:8 ~is_write:true);
+  Alcotest.(check (list int)) "writer is the sole holder" [ 0 ]
+    (Coherence.holders c ~line:0);
+  check_int "all four copies invalidated" 4
+    (Coherence.stats c ~cpu:0).Sim_stats.invalidations;
+  Alcotest.(check (option (pair int int)))
+    "hint recorded across the word boundary" (Some (8, 8))
+    (Coherence.inv_hint c ~cpu:63 ~line:0);
+  agree p;
   (* The invalidated high-word CPU classifies its next miss off the hint:
      disjoint byte intervals = false sharing. *)
-  both_step fl rf ~cpu:63 ~addr:0 ~is_write:false;
-  List.iter
-    (fun c ->
-      check_int "false-sharing miss classified in word 1" 1
-        (Coherence.stats c ~cpu:63).Sim_stats.false_sharing_misses)
-    [ fl; rf ]
+  ignore (step p ~cpu:63 ~addr:0 ~is_write:false);
+  check_int "false-sharing miss classified in word 1" 1
+    (Coherence.stats c ~cpu:63).Sim_stats.false_sharing_misses;
+  agree p
 
 (* Evicting the last sharer (a word-1 CPU) must kill the directory entry:
    holders goes empty, and a later re-fetch is a capacity miss, not a
    stale sharing miss. *)
 let test_clear_last_sharer_kills_entry () =
-  let topo = Topology.superdome () in
-  let mk backend =
-    Coherence.create topo ~line_size:128 ~cache_capacity:2 ~ways:1 ~backend ()
-  in
-  let fl = mk Coherence.Flat and rf = mk Coherence.Reference in
-  both_step fl rf ~cpu:62 ~addr:0 ~is_write:false;
-  both_step fl rf ~cpu:63 ~addr:0 ~is_write:false;
+  let p = pair (Topology.superdome ()) ~cache_capacity:2 ~ways:1 in
+  let c = p.kern in
+  let read cpu addr = ignore (step p ~cpu ~addr ~is_write:false) in
+  read 62 0;
+  read 63 0;
   (* Line 2 maps to the same set as line 0 (2 sets, 1 way): each fetch
      evicts the CPU's copy of line 0, clearing its word-1 sharer bit. *)
-  both_step fl rf ~cpu:62 ~addr:256 ~is_write:false;
-  List.iter
-    (fun c ->
-      Alcotest.(check (list int)) "one sharer left" [ 63 ]
-        (Coherence.holders c ~line:0))
-    [ fl; rf ];
-  both_step fl rf ~cpu:63 ~addr:256 ~is_write:false;
-  List.iter
-    (fun c ->
-      Alcotest.(check (list int)) "entry dead: no holders" []
-        (Coherence.holders c ~line:0);
-      Alcotest.(check (option int)) "entry dead: no owner" None
-        (Coherence.owner c ~line:0))
-    [ fl; rf ];
-  both_step fl rf ~cpu:63 ~addr:0 ~is_write:false;
-  List.iter
-    (fun c ->
-      (* Every miss by CPU 63 on an already-touched line is a capacity
-         miss (its line-0 join, the line-2 fetch, and this re-fetch); the
-         point is that none became a stale sharing miss. *)
-      let st = Coherence.stats c ~cpu:63 in
-      check_int "re-fetch is a capacity miss" 3 st.Sim_stats.capacity_misses;
-      check_int "no stale sharing classification" 0
-        (st.Sim_stats.true_sharing_misses + st.Sim_stats.false_sharing_misses))
-    [ fl; rf ]
+  read 62 256;
+  Alcotest.(check (list int)) "one sharer left" [ 63 ] (Coherence.holders c ~line:0);
+  read 63 256;
+  Alcotest.(check (list int)) "entry dead: no holders" [] (Coherence.holders c ~line:0);
+  Alcotest.(check (option int)) "entry dead: no owner" None (Coherence.owner c ~line:0);
+  read 63 0;
+  (* Every miss by CPU 63 on an already-touched line is a capacity miss
+     (its line-0 join, the line-2 fetch, and this re-fetch); the point is
+     that none became a stale sharing miss. *)
+  let st = Coherence.stats c ~cpu:63 in
+  check_int "re-fetch is a capacity miss" 3 st.Sim_stats.capacity_misses;
+  check_int "no stale sharing classification" 0
+    (st.Sim_stats.true_sharing_misses + st.Sim_stats.false_sharing_misses);
+  agree p
 
 (* ------------------------------------------------------------------ *)
 (* Instruction-fetch side. The I-cache is private and coherence-free, but
-   the flat kernel and the boxed reference must still agree to the bit —
-   on per-line fetch latencies, the ifetch counters, and residency — with
-   data traffic interleaved so neither side can bleed into the other. *)
+   the kernel and the spec must still agree to the bit — on per-line fetch
+   latencies, the ifetch counters, and residency — with data traffic
+   interleaved so neither side can bleed into the other. *)
 
 let icfg = { Coherence.i_lines = 4; i_ways = None; i_line_size = 64 }
 
-let test_ifetch_unconfigured backend () =
-  let c =
-    Coherence.create (Topology.bus ~cpus:2 ()) ~line_size:128 ~cache_capacity:4
-      ~backend ()
-  in
-  Alcotest.(check bool) "no icache" false (Coherence.has_icache c);
-  match Coherence.ifetch c ~cpu:0 ~addr:0 ~size:4 with
+let test_ifetch_unconfigured () =
+  let p = pair (Topology.bus ~cpus:2 ()) ~cache_capacity:4 in
+  Alcotest.(check bool) "no icache" false (Coherence.has_icache p.kern);
+  (match Coherence.ifetch p.kern ~cpu:0 ~addr:0 ~size:4 with
   | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "ifetch accepted without an icache"
+  | _ -> Alcotest.fail "kernel ifetch accepted without an icache");
+  match Spec.ifetch p.spec ~cpu:0 ~addr:0 ~size:4 with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "spec ifetch accepted without an icache"
 
-let test_ifetch_line_walk backend () =
-  let c =
-    Coherence.create (Topology.bus ~cpus:2 ()) ~line_size:128 ~cache_capacity:4
-      ~icache:icfg ~backend ()
-  in
+let test_ifetch_line_walk () =
+  let p = pair (Topology.bus ~cpus:2 ()) ~cache_capacity:4 ~icache:icfg in
+  let c = p.kern in
   Alcotest.(check bool) "icache on" true (Coherence.has_icache c);
   check_int "line size" 64 (Coherence.icache_line_size c);
   (* 8 bytes at offset 60 span I-lines 0 and 1: two fetches, two misses *)
-  let cold = Coherence.ifetch c ~cpu:0 ~addr:60 ~size:8 in
+  let cold = fetch p ~cpu:0 ~addr:60 ~size:8 in
   let st () = Coherence.stats c ~cpu:0 in
   check_int "two line fetches" 2 (st ()).Sim_stats.ifetches;
   check_int "two cold misses" 2 (st ()).Sim_stats.imisses;
@@ -497,27 +515,26 @@ let test_ifetch_line_walk backend () =
     (Coherence.icache_resident c ~cpu:0 ~line:1);
   Alcotest.(check bool) "private: not on the other cpu" false
     (Coherence.icache_resident c ~cpu:1 ~line:0);
-  let warm = Coherence.ifetch c ~cpu:0 ~addr:60 ~size:8 in
+  let warm = fetch p ~cpu:0 ~addr:60 ~size:8 in
   Alcotest.(check bool) "warm refetch is cheaper" true (warm < cold);
   check_int "no new misses" 2 (st ()).Sim_stats.imisses;
-  check_int "data side untouched" 0 ((st ()).Sim_stats.loads + (st ()).Sim_stats.stores)
+  check_int "data side untouched" 0 ((st ()).Sim_stats.loads + (st ()).Sim_stats.stores);
+  agree p
 
-let test_icache_lru backend () =
-  let c =
-    Coherence.create (Topology.bus ~cpus:2 ()) ~line_size:128 ~cache_capacity:4
-      ~icache:icfg ~backend ()
-  in
-  let fetch l = ignore (Coherence.ifetch c ~cpu:0 ~addr:(l * 64) ~size:4) in
+let test_icache_lru () =
+  let p = pair (Topology.bus ~cpus:2 ()) ~cache_capacity:4 ~icache:icfg in
+  let fetch l = ignore (fetch p ~cpu:0 ~addr:(l * 64) ~size:4) in
   List.iter fetch [ 0; 1; 2; 3 ];
   (* touch 0: line 1 becomes the LRU victim of the capacity-busting fetch *)
   fetch 0;
   fetch 4;
-  let res l = Coherence.icache_resident c ~cpu:0 ~line:l in
+  let res l = Coherence.icache_resident p.kern ~cpu:0 ~line:l in
   Alcotest.(check bool) "LRU line 1 evicted" false (res 1);
   List.iter
     (fun l ->
       Alcotest.(check bool) (Printf.sprintf "line %d resident" l) true (res l))
-    [ 0; 2; 3; 4 ]
+    [ 0; 2; 3; 4 ];
+  agree p
 
 type mop = Data of int * int * int * bool | Fetch of int * int * int
 
@@ -539,7 +556,7 @@ let mixed_gen =
 let prop_icache_differential =
   QCheck2.Test.make
     ~name:
-      "ifetch: flat == reference (latencies, stats, residency) with \
+      "ifetch: flat == reference spec (latencies, stats, residency) with \
        interleaved data traffic across protocols x topologies" ~count:25
     mixed_gen
     (fun ops ->
@@ -547,96 +564,37 @@ let prop_icache_differential =
         (fun (_, topology) ->
           List.iter
             (fun protocol ->
-              let mk backend =
-                Coherence.create topology ~line_size:128 ~cache_capacity:8
-                  ~icache:icfg ~protocol ~backend ()
-              in
-              let fl = mk Coherence.Flat and rf = mk Coherence.Reference in
+              let p = pair topology ~cache_capacity:8 ~icache:icfg ~protocol in
               let cpus = Topology.num_cpus topology in
               List.iter
                 (function
                   | Data (cpu, line, off, w) ->
-                    let cpu = cpu mod cpus
-                    and addr = (line * 128) + (off * 8) in
-                    let a = Coherence.access fl ~cpu ~addr ~size:8 ~is_write:w in
-                    let b = Coherence.access rf ~cpu ~addr ~size:8 ~is_write:w in
-                    if a <> b then
-                      Alcotest.failf "data latency diverged: flat %d vs ref %d"
-                        a b
+                    ignore
+                      (step p ~cpu:(cpu mod cpus)
+                         ~addr:((line * 128) + (off * 8))
+                         ~is_write:w)
                   | Fetch (cpu, addr, size) ->
-                    let cpu = cpu mod cpus in
-                    let a = Coherence.ifetch fl ~cpu ~addr ~size in
-                    let b = Coherence.ifetch rf ~cpu ~addr ~size in
-                    if a <> b then
-                      Alcotest.failf
-                        "fetch latency diverged (cpu %d addr %d size %d): \
-                         flat %d vs ref %d"
-                        cpu addr size a b)
+                    ignore (fetch p ~cpu:(cpu mod cpus) ~addr ~size))
                 ops;
-              Coherence.check_invariants fl;
-              Coherence.check_invariants rf;
-              for cpu = 0 to cpus - 1 do
-                if Coherence.stats fl ~cpu <> Coherence.stats rf ~cpu then
-                  Alcotest.failf "per-cpu stats diverged on cpu %d" cpu;
-                for line = 0 to 18 do
-                  if
-                    Coherence.icache_resident fl ~cpu ~line
-                    <> Coherence.icache_resident rf ~cpu ~line
-                  then
-                    Alcotest.failf "icache residency diverged: cpu %d line %d"
-                      cpu line
-                done
-              done)
+              agree ~lines:19 p)
             [ Coherence.Mesi; Coherence.Moesi ])
         topologies;
       true)
 
-(* Machine-level: with the instruction side on and tracing enabled, the
-   whole result — fetch trace included — must stay backend-identical. *)
+(* With the instruction side on, the fetch trace replays on the spec too,
+   under the declared code layout and a permuted one. *)
 let machine_icache =
   { Coherence.i_lines = 4; i_ways = Some 2; i_line_size = 32 }
 
-let run_src_machine ?code_layout backend =
-  let program = Typecheck.check (Parser.parse_program ~file:"t.mc" src) in
-  let topology = Topology.superdome ~cpus:4 () in
-  let m =
-    Machine.create
-      {
-        (Machine.default_config topology) with
-        Machine.cache_lines = 16;
-        icache = Some machine_icache;
-        trace = true;
-        seed = 11;
-        backend;
-      }
-      program
-  in
-  (match code_layout with
-  | Some order -> Machine.set_code_layout m order
-  | None -> ());
-  let s = Machine.alloc m ~struct_name:"S" in
-  for cpu = 0 to 3 do
-    Machine.add_thread m ~cpu
-      ~work:
-        [
-          ( (if cpu mod 2 = 0 then "writer" else "reader"),
-            [ Machine.Ainst s; Machine.Aint 40 ] );
-        ]
-  done;
-  Machine.run m
-
-let test_machine_fetch_identity () =
-  let r_flat = run_src_machine Coherence.Flat
-  and r_ref = run_src_machine Coherence.Reference in
-  Alcotest.(check bool) "whole results identical (incl. fetch trace)" true
-    (r_flat = r_ref);
+let test_machine_fetch_replay () =
+  let (_, r) as run = run_src_machine ~icache:machine_icache () in
   Alcotest.(check bool) "fetch trace non-empty" true
-    (r_flat.Machine.fetch_trace <> []);
+    (r.Machine.fetch_trace <> []);
   Alcotest.(check bool) "fetches counted" true
-    (r_flat.Machine.stats.Sim_stats.ifetches > 0);
+    (r.Machine.stats.Sim_stats.ifetches > 0);
   Alcotest.(check bool) "misses counted" true
-    (r_flat.Machine.stats.Sim_stats.imisses > 0);
-  (* a permuted layout must stay backend-identical too *)
+    (r.Machine.stats.Sim_stats.imisses > 0);
+  replays_on_spec run;
   let program = Typecheck.check (Parser.parse_program ~file:"t.mc" src) in
   let order =
     List.rev_map
@@ -646,10 +604,7 @@ let test_machine_fetch_identity () =
             (Machine.default_config (Topology.bus ~cpus:2 ()))
             program))
   in
-  let p_flat = run_src_machine ~code_layout:order Coherence.Flat
-  and p_ref = run_src_machine ~code_layout:order Coherence.Reference in
-  Alcotest.(check bool) "permuted layout identical across backends" true
-    (p_flat = p_ref)
+  replays_on_spec (run_src_machine ~icache:machine_icache ~code_layout:order ())
 
 let test_set_code_layout_validation () =
   let program = Typecheck.check (Parser.parse_program ~file:"t.mc" src) in
@@ -686,29 +641,21 @@ let test_set_code_layout_validation () =
       Machine.set_code_layout m all)
 
 let test_kstats_exposure () =
-  let mk backend =
-    Coherence.create
-      (Topology.bus ~cpus:2 ())
-      ~line_size:128 ~cache_capacity:4 ~backend ()
+  let c =
+    Coherence.create (Topology.bus ~cpus:2 ()) ~line_size:128 ~cache_capacity:4 ()
   in
-  let flat = mk Coherence.Flat in
-  ignore (Coherence.access flat ~cpu:0 ~addr:0 ~size:8 ~is_write:true);
-  (match Coherence.kstats flat with
-  | Some k ->
-      Alcotest.(check bool) "dir_live tracked" true (k.Slo_sim.Memkern.k_dir_live >= 1);
-      Alcotest.(check bool) "peak >= live" true
-        (k.Slo_sim.Memkern.k_dir_peak >= k.Slo_sim.Memkern.k_dir_live)
-  | None -> Alcotest.fail "Flat backend must expose kstats");
-  match Coherence.kstats (mk Coherence.Reference) with
-  | None -> ()
-  | Some _ -> Alcotest.fail "Reference backend must not expose kstats"
+  ignore (Coherence.access c ~cpu:0 ~addr:0 ~size:8 ~is_write:true);
+  let k = Coherence.kstats c in
+  Alcotest.(check bool) "dir_live tracked" true (k.Coherence.k_dir_live >= 1);
+  Alcotest.(check bool) "peak >= live" true
+    (k.Coherence.k_dir_peak >= k.Coherence.k_dir_live)
 
 (* ------------------------------------------------------------------ *)
 (* Multi-level hierarchy. The L1 filter, the coherent L2 and the per-cell
-   victim LLCs must behave identically in the flat kernel and the boxed
-   reference — per-access latencies, the per-level hit counters, L1
-   residency and LLC placement — across protocols, topologies, and
-   associativities at every level. *)
+   victim LLCs must behave identically in the kernel and the spec —
+   per-access latencies, the per-level hit counters, L1 residency and LLC
+   placement — across protocols, topologies, and associativities at every
+   level. *)
 
 let hier_variants =
   [
@@ -720,56 +667,19 @@ let hier_variants =
       { Coherence.h_l1_lines = 4; h_l1_ways = None; h_llc_lines = 8; h_llc_ways = None } );
   ]
 
+(* Sim_stats equality (inside [agree]) covers the per-level counters: l1/l2
+   hits and local/remote LLC hits diverge structurally, not just in sums. *)
 let run_both_hier ~topology ~protocol ~ways ~hierarchy trace =
-  let mk backend =
-    Coherence.create topology ~line_size:128 ~cache_capacity:8 ?ways ~hierarchy
-      ~protocol ~backend ()
-  in
-  let fl = mk Coherence.Flat and rf = mk Coherence.Reference in
-  let cpus = Topology.num_cpus topology in
-  if Coherence.num_cells fl <> Coherence.num_cells rf then
-    Alcotest.failf "cell count diverged";
-  List.iter
-    (fun (cpu, line, off, w) ->
-      let cpu = cpu mod cpus and addr = (line * 128) + (off * 8) in
-      let a = Coherence.access fl ~cpu ~addr ~size:8 ~is_write:w in
-      let b = Coherence.access rf ~cpu ~addr ~size:8 ~is_write:w in
-      if a <> b then
-        Alcotest.failf "hier latency diverged (cpu %d line %d w %b): %d vs %d"
-          cpu line w a b)
-    trace;
-  Coherence.check_invariants fl;
-  Coherence.check_invariants rf;
-  for cpu = 0 to cpus - 1 do
-    (* Sim_stats equality covers the per-level counters: l1/l2 hits and
-       local/remote LLC hits diverge structurally, not just in sums. *)
-    if Coherence.stats fl ~cpu <> Coherence.stats rf ~cpu then
-      Alcotest.failf "per-cpu stats diverged on cpu %d" cpu
-  done;
-  for line = 0 to lines_in_play - 1 do
-    if Coherence.holders fl ~line <> Coherence.holders rf ~line then
-      Alcotest.failf "holders diverged on line %d" line;
-    if Coherence.owner fl ~line <> Coherence.owner rf ~line then
-      Alcotest.failf "owner diverged on line %d" line;
-    if Coherence.llc_cell fl ~line <> Coherence.llc_cell rf ~line then
-      Alcotest.failf "LLC placement diverged on line %d" line;
-    for cpu = 0 to cpus - 1 do
-      if
-        Coherence.cache_state fl ~cpu ~line
-        <> Coherence.cache_state rf ~cpu ~line
-      then Alcotest.failf "cache state diverged: cpu %d line %d" cpu line;
-      if
-        Coherence.l1_resident fl ~cpu ~line
-        <> Coherence.l1_resident rf ~cpu ~line
-      then Alcotest.failf "L1 residency diverged: cpu %d line %d" cpu line
-    done
-  done
+  let p = pair topology ~cache_capacity:8 ?ways ~hierarchy ~protocol in
+  run_trace p topology trace;
+  agree p
 
 let prop_hier_differential =
   QCheck2.Test.make
     ~name:
-      "hierarchy: flat == reference (per-level latencies, counters, L1/LLC \
-       residency) across protocols x topologies x associativities" ~count:25
+      "hierarchy: flat == reference spec (per-level latencies, counters, \
+       L1/LLC residency) across protocols x topologies x associativities"
+    ~count:25
     trace_gen
     (fun trace ->
       List.iter
@@ -791,17 +701,17 @@ let prop_hier_differential =
    {0..7} and {8..15}). Walks one access sequence through L1 hit, L2 hit,
    victim-LLC fill, local and remote LLC hits, and the L1 write fast
    path, asserting the exact latency and counter at every step. *)
-let test_hier_level_walk backend () =
+let test_hier_level_walk () =
   let topo = Topology.superdome ~cpus:16 () in
-  let c =
-    Coherence.create topo ~line_size:128 ~cache_capacity:2 ~ways:1
+  let p =
+    pair topo ~cache_capacity:2 ~ways:1
       ~hierarchy:
         { Coherence.h_l1_lines = 1; h_l1_ways = Some 1; h_llc_lines = 4; h_llc_ways = None }
-      ~backend ()
   in
+  let c = p.kern in
   Alcotest.(check bool) "hierarchy on" true (Coherence.has_hierarchy c);
   check_int "two cells" 2 (Coherence.num_cells c);
-  let access cpu line w = Coherence.access c ~cpu ~addr:(line * 128) ~size:8 ~is_write:w in
+  let access cpu line w = step p ~cpu ~addr:(line * 128) ~is_write:w in
   let st cpu = Coherence.stats c ~cpu in
   (* cold miss straight to memory *)
   check_int "cold miss costs memory" 300 (access 0 0 false);
@@ -840,15 +750,13 @@ let test_hier_level_walk backend () =
   check_int "upgrade counted as L2 hit" 1 (st 8).Sim_stats.l2_hits;
   check_int "M write through L1 costs 1" 1 (access 8 0 true);
   check_int "fast path counted as L1 hit" 1 (st 8).Sim_stats.l1_hits;
-  Coherence.check_invariants c
+  agree p
 
-let test_hier_validation backend () =
-  let mk hierarchy =
-    Coherence.create (Topology.bus ~cpus:2 ()) ~line_size:128 ~cache_capacity:4
-      ~hierarchy ~backend ()
-  in
+(* The geometry check is one function the kernel and the spec share;
+   each constructor is checked to go through it. *)
+let test_hier_validation create () =
   let expect_invalid label h =
-    match mk h with
+    match create h with
     | exception Invalid_argument _ -> ()
     | _ -> Alcotest.failf "%s accepted" label
   in
@@ -858,52 +766,59 @@ let test_hier_validation backend () =
     { Coherence.h_l1_lines = 2; h_l1_ways = None; h_llc_lines = 0; h_llc_ways = None };
   expect_invalid "bad L1 associativity"
     { Coherence.h_l1_lines = 2; h_l1_ways = Some 3; h_llc_lines = 4; h_llc_ways = None };
+  create { Coherence.h_l1_lines = 2; h_l1_ways = None; h_llc_lines = 4; h_llc_ways = None }
+
+let kernel_with_hierarchy hierarchy =
   let c =
-    mk { Coherence.h_l1_lines = 2; h_l1_ways = None; h_llc_lines = 4; h_llc_ways = None }
+    Coherence.create (Topology.bus ~cpus:2 ()) ~line_size:128 ~cache_capacity:4
+      ~hierarchy ()
   in
   Alcotest.(check bool) "valid geometry accepted" true (Coherence.has_hierarchy c)
 
+let spec_with_hierarchy hierarchy =
+  ignore
+    (Spec.create (Topology.bus ~cpus:2 ()) ~line_size:128 ~cache_capacity:4
+       ~hierarchy ())
+
 (* Exhaustive interleaving check (the Modelcheck analog for the
-   hierarchy): breadth-first exploration of every reachable state of a
-   2-CPU x 3-line multi-level config whose geometry is fully
-   deterministic (direct-mapped at every level), comparing the flat
-   kernel against the boxed reference on every edge and pinning the
-   reachable-state count against drift. *)
+   hierarchy): breadth-first exploration of every reachable spec state of
+   a 2-CPU x 3-line multi-level config whose geometry is fully
+   deterministic (direct-mapped at every level), checking the kernel
+   against the spec on every edge and pinning the reachable-state count
+   against drift. *)
 
 let hier_mc_lines = 3
 let hier_mc_cpus = 2
 
-let hier_mc_mk protocol backend =
-  Coherence.create
-    (Topology.bus ~cpus:hier_mc_cpus ())
-    ~line_size:128 ~cache_capacity:2 ~ways:1
+let hier_mc_mk protocol =
+  pair (Topology.bus ~cpus:hier_mc_cpus ()) ~cache_capacity:2 ~ways:1
     ~hierarchy:
       { Coherence.h_l1_lines = 1; h_l1_ways = Some 1; h_llc_lines = 1; h_llc_ways = Some 1 }
-    ~protocol ~backend ()
+    ~protocol
 
 (* Canonical observable state: with every level direct-mapped there is no
-   hidden replacement state, so the introspection API determines future
-   behavior completely. *)
-let hier_mc_key c =
+   hidden replacement state, so the introspection determines future
+   behaviour completely. *)
+let hier_mc_key sp =
   let buf = Buffer.create 64 in
   for line = 0 to hier_mc_lines - 1 do
     Buffer.add_string buf
       (Printf.sprintf "o%s;s%s;t%b;l%s|"
-         (match Coherence.owner c ~line with None -> "-" | Some o -> string_of_int o)
-         (String.concat "," (List.map string_of_int (Coherence.sharers c ~line)))
-         (Coherence.touched c ~line)
-         (match Coherence.llc_cell c ~line with None -> "-" | Some cl -> string_of_int cl));
+         (match Spec.owner sp ~line with None -> "-" | Some o -> string_of_int o)
+         (String.concat "," (List.map string_of_int (Spec.sharers sp ~line)))
+         (Spec.touched sp ~line)
+         (match Spec.llc_cell sp ~line with None -> "-" | Some cl -> string_of_int cl));
     for cpu = 0 to hier_mc_cpus - 1 do
       Buffer.add_string buf
         (Printf.sprintf "c%s;r%b;h%s|"
-           (match Coherence.cache_state c ~cpu ~line with
+           (match Spec.cache_state sp ~cpu ~line with
            | None -> "-"
-           | Some Cache.Modified -> "M"
-           | Some Cache.Exclusive -> "E"
-           | Some Cache.Shared -> "S"
-           | Some Cache.Owned -> "O")
-           (Coherence.l1_resident c ~cpu ~line)
-           (match Coherence.inv_hint c ~cpu ~line with
+           | Some Coherence.Modified -> "M"
+           | Some Coherence.Exclusive -> "E"
+           | Some Coherence.Shared -> "S"
+           | Some Coherence.Owned -> "O")
+           (Spec.l1_resident sp ~cpu ~line)
+           (match Spec.inv_hint sp ~cpu ~line with
            | None -> "-"
            | Some (off, len) -> Printf.sprintf "%d.%d" off len))
     done
@@ -919,45 +834,41 @@ let test_hier_exhaustive protocol pinned () =
           (List.init hier_mc_lines Fun.id))
       (List.init hier_mc_cpus Fun.id)
   in
-  (* Replay a trace on fresh instances of both backends, checking latency
-     identity on every access; return the pair for inspection. *)
-  let replay trace =
-    let fl = hier_mc_mk protocol Coherence.Flat
-    and rf = hier_mc_mk protocol Coherence.Reference in
-    List.iter
-      (fun (cpu, line, w) ->
-        let a = Coherence.access fl ~cpu ~addr:(line * 128) ~size:8 ~is_write:w in
-        let b = Coherence.access rf ~cpu ~addr:(line * 128) ~size:8 ~is_write:w in
-        if a <> b then
-          Alcotest.failf "latency diverged (cpu %d line %d w %b): %d vs %d"
-            cpu line w a b)
-      trace;
-    (fl, rf)
-  in
+  (* The frontier keeps each state's (minimal) witness trace and its spec
+     state. An edge steps the spec state once and replays the extended
+     trace on a fresh kernel: its last latency must match the spec's and
+     the end states must agree (earlier steps were checked on the edges
+     that first reached their prefixes). *)
   let visited = Hashtbl.create 1024 in
   let frontier = Queue.create () in
-  let visit trace =
-    let fl, rf = replay trace in
-    let k = hier_mc_key fl in
-    if hier_mc_key rf <> k then
-      Alcotest.failf "observable state diverged after %d steps"
-        (List.length trace);
+  let visit trace spec =
+    let k = hier_mc_key spec in
     if not (Hashtbl.mem visited k) then begin
       Hashtbl.replace visited k ();
-      Coherence.check_invariants fl;
-      Coherence.check_invariants rf;
-      for cpu = 0 to hier_mc_cpus - 1 do
-        if Coherence.stats fl ~cpu <> Coherence.stats rf ~cpu then
-          Alcotest.failf "stats diverged on cpu %d after %d steps" cpu
-            (List.length trace)
-      done;
-      Queue.add trace frontier
+      Queue.add (trace, spec) frontier
     end
   in
-  visit [];
+  visit [] (hier_mc_mk protocol).spec;
   while not (Queue.is_empty frontier) do
-    let trace = Queue.pop frontier in
-    List.iter (fun op -> visit (trace @ [ op ])) alphabet
+    let trace, spec = Queue.pop frontier in
+    List.iter
+      (fun ((cpu, line, w) as op) ->
+        let trace = trace @ [ op ] in
+        let p = hier_mc_mk protocol in
+        let kernel_lat =
+          List.fold_left
+            (fun _ (cpu, line, w) ->
+              Coherence.access p.kern ~cpu ~addr:(line * 128) ~size:8 ~is_write:w)
+            0 trace
+        in
+        let spec, spec_lat = Spec.access spec ~cpu ~addr:(line * 128) ~size:8 ~is_write:w in
+        if kernel_lat <> spec_lat then
+          Alcotest.failf "latency diverged after %d steps: kernel %d, spec %d"
+            (List.length trace) kernel_lat spec_lat;
+        p.spec <- spec;
+        agree ~lines:hier_mc_lines p;
+        visit trace spec)
+      alphabet
   done;
   check_int "pinned reachable-state count" pinned (Hashtbl.length visited)
 
@@ -989,60 +900,47 @@ let suites =
       [ QCheck_alcotest.to_alcotest prop_directory_invariants ] );
     ( "sim.kernel.hints",
       [
-        Alcotest.test_case "stale hint dropped with episode (flat)" `Quick
-          (test_hint_staleness Coherence.Flat);
-        Alcotest.test_case "stale hint dropped with episode (reference)" `Quick
-          (test_hint_staleness Coherence.Reference);
-        Alcotest.test_case "live hint still classifies (flat)" `Quick
-          (test_hint_live_episode Coherence.Flat);
-        Alcotest.test_case "live hint still classifies (reference)" `Quick
-          (test_hint_live_episode Coherence.Reference);
+        Alcotest.test_case "stale hint dropped with episode (kernel and spec)"
+          `Quick test_hint_staleness;
+        Alcotest.test_case "live hint still classifies (kernel and spec)" `Quick
+          test_hint_live_episode;
       ] );
     ( "sim.kernel.cache",
       [
-        Alcotest.test_case "iter is sorted by line" `Quick test_cache_iter_sorted;
-        Alcotest.test_case "set_state refreshes LRU" `Quick
-          test_set_state_touches_lru;
+        Alcotest.test_case "remote downgrade refreshes the owner's LRU" `Quick
+          test_downgrade_refreshes_lru;
+        Alcotest.test_case "negative address rejected (kernel and spec)" `Quick
+          test_negative_address;
       ] );
     ( "sim.kernel.machine",
       [
-        Alcotest.test_case "end-to-end backend identity" `Quick
-          test_machine_backend_identity;
+        Alcotest.test_case "end-to-end trace replay on the spec" `Quick
+          test_machine_trace_replay;
         Alcotest.test_case "kstats exposure" `Quick test_kstats_exposure;
       ] );
     ( "sim.kernel.icache",
       [
-        Alcotest.test_case "ifetch without an icache is rejected (flat)" `Quick
-          (test_ifetch_unconfigured Coherence.Flat);
-        Alcotest.test_case "ifetch without an icache is rejected (reference)"
-          `Quick
-          (test_ifetch_unconfigured Coherence.Reference);
-        Alcotest.test_case "line walk, counters, privacy (flat)" `Quick
-          (test_ifetch_line_walk Coherence.Flat);
-        Alcotest.test_case "line walk, counters, privacy (reference)" `Quick
-          (test_ifetch_line_walk Coherence.Reference);
-        Alcotest.test_case "true-LRU replacement (flat)" `Quick
-          (test_icache_lru Coherence.Flat);
-        Alcotest.test_case "true-LRU replacement (reference)" `Quick
-          (test_icache_lru Coherence.Reference);
+        Alcotest.test_case "ifetch without an icache is rejected (kernel and spec)"
+          `Quick test_ifetch_unconfigured;
+        Alcotest.test_case "line walk, counters, privacy (kernel and spec)" `Quick
+          test_ifetch_line_walk;
+        Alcotest.test_case "true-LRU replacement (kernel and spec)" `Quick
+          test_icache_lru;
         QCheck_alcotest.to_alcotest prop_icache_differential;
-        Alcotest.test_case "machine fetch-trace backend identity" `Quick
-          test_machine_fetch_identity;
+        Alcotest.test_case "machine fetch-trace based replay on the spec" `Quick
+          test_machine_fetch_replay;
         Alcotest.test_case "set_code_layout validation" `Quick
           test_set_code_layout_validation;
       ] );
     ( "sim.kernel.hierarchy",
       [
         QCheck_alcotest.to_alcotest prop_hier_differential;
-        Alcotest.test_case "per-level latency walk on two cells (flat)" `Quick
-          (test_hier_level_walk Coherence.Flat);
-        Alcotest.test_case "per-level latency walk on two cells (reference)"
-          `Quick
-          (test_hier_level_walk Coherence.Reference);
-        Alcotest.test_case "geometry validation (flat)" `Quick
-          (test_hier_validation Coherence.Flat);
-        Alcotest.test_case "geometry validation (reference)" `Quick
-          (test_hier_validation Coherence.Reference);
+        Alcotest.test_case "per-level latency walk on two cells (kernel and spec)"
+          `Quick test_hier_level_walk;
+        Alcotest.test_case "geometry validation (flat kernel)" `Quick
+          (test_hier_validation kernel_with_hierarchy);
+        Alcotest.test_case "geometry validation (reference spec)" `Quick
+          (test_hier_validation spec_with_hierarchy);
         Alcotest.test_case "exhaustive interleavings, pinned states (MESI)"
           `Quick
           (test_hier_exhaustive Coherence.Mesi hier_mc_pin_mesi);
